@@ -25,7 +25,9 @@ from .errors import (
     PositivityError,
     WordLengthError,
 )
-from .fock import FieldOperators, FockSpace, build_fock, moment_of_word, roundtrip_report
+from .fock import (
+    FieldOperators, FockSpace, build_fock, moment_of_word, roundtrip_report, vacuum_moments,
+)
 from .gradation import (
     GradedBasis,
     GradedLevel,
@@ -127,6 +129,7 @@ __all__ = [
     "save_moment_file",
     "tensor_metric",
     "termination_level",
+    "vacuum_moments",
     "verify_adjointness",
     "verify_commutators",
     "verify_favard_conditions",

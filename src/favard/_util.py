@@ -1,5 +1,6 @@
 """Serialization helpers shared by the moment and Jacobi file formats."""
 
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -50,9 +51,16 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_float(value) -> float:
+    """Accept only finite numbers in float mode; json admits NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"float scalar must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise FileFormatError(f"float scalar out of range: {exc}") from exc
+    if not math.isfinite(x):
+        raise FileFormatError(f"float scalar must be finite, got {value!r}")
+    return x
 
 
 def format_matrix(mat, backend: str):

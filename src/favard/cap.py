@@ -50,9 +50,6 @@ class CapOperators:
     aminus: dict
     alpha_levels: int
 
-    def dims(self, n):
-        return len(self.grams[n])
-
 
 def _solve_columns(gram_matrix, rhs_columns, backend, tol):
     """Min-norm solves, one per column; returns the matrix with those columns."""
@@ -185,7 +182,7 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
         for n in range(cap.N):
             lhs = linalg.mat_mul(cap.grams[n + 1], cap.aplus[j][n])
             rhs = linalg.mat_mul(linalg.transpose(cap.aminus[j][n + 1]), cap.grams[n])
-            dev = _max_diff(lhs, rhs)
+            dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"creation-annihilation adjoint j={j} level {n}",
                 _dev_ok(dev, cap.backend, tol),
@@ -195,22 +192,13 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
             a0 = cap.azero[j][n]
             lhs = linalg.mat_mul(cap.grams[n], a0)
             rhs = linalg.mat_mul(linalg.transpose(a0), cap.grams[n])
-            dev = _max_diff(lhs, rhs)
+            dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"preservation self-adjoint j={j} level {n}",
                 _dev_ok(dev, cap.backend, tol),
                 deviation=dev,
             )
     return report
-
-
-def _max_diff(a, b):
-    worst = 0
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if abs(x - y) > worst:
-                worst = abs(x - y)
-    return worst
 
 
 def _seminorm_dev(g, diff):

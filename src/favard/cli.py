@@ -15,9 +15,8 @@ from fractions import Fraction
 from . import linalg
 from ._util import atomic_write_text
 from .errors import FavardError
-from .fock import build_fock, moment_of_word
+from .fock import build_fock, vacuum_moments
 from .jacobi import analyze, jacobi_file_text, load_jacobi_file, verify_favard_conditions
-from .mindex import enumerate_level
 from .moments import (
     CATALOG_MEASURES,
     MomentFunctional,
@@ -209,13 +208,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         raise ValueError("reconstruct needs --out for the moment file")
     fock, ops = build_fock(js, cfg.tol)
     top = js.max_word_length()
-    values = {}
-    for degree in range(top + 1):
-        for m in enumerate_level(js.d, degree):
-            word = []
-            for j, count in enumerate(m, start=1):
-                word.extend([j] * count)
-            values[m] = moment_of_word(fock, ops, word)
+    values = vacuum_moments(fock, ops, top)
     try:
         phi = MomentFunctional(
             d=js.d,
@@ -235,8 +228,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         "backend": js.backend,
         "moment_file": cfg.out,
     }
-    sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"reconstructed moments to degree {top}; wrote {cfg.out}", file=sys.stderr)
+    _emit(cfg, payload, [f"reconstructed moments to degree {top}; wrote {cfg.out}"])
     return EXIT_OK
 
 

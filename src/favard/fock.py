@@ -18,6 +18,11 @@ creator then has no adjoint.
 The coordinate field operator X_j = Aplus_j + alpha_j + Aminus_j applied to
 the vacuum reproduces the source moments: vacuum expectations of words in
 the field operators equal the moments of the corresponding monomials.
+The moment of m is the vacuum expectation of its ascending word
+1^m_1 ... d^m_d (rightmost letter first); any order agrees on extracted
+data, but build_fock does not check that hand-built operators commute.
+vacuum_moments, behind reconstruct and the round trip, shares word suffixes
+in one walk: one field step per monomial.
 """
 
 from dataclasses import dataclass
@@ -31,10 +36,13 @@ from .errors import (
     WordLengthError,
 )
 from .jacobi import JacobiSequence, verify_favard_conditions
-from .mindex import creation_shift, level_dimension
+from .mindex import creation_shift
 from .reports import Report
 
-__all__ = ["FockSpace", "FieldOperators", "build_fock", "moment_of_word", "roundtrip_report"]
+__all__ = [
+    "FockSpace", "FieldOperators", "build_fock", "moment_of_word", "vacuum_moments",
+    "roundtrip_report",
+]
 
 
 @dataclass
@@ -50,9 +58,6 @@ class FockSpace:
     def vacuum(self):
         one = Fraction(1) if self.backend == "exact" else 1.0
         return {0: [one]}
-
-    def dim(self, n):
-        return level_dimension(self.d, n)
 
 
 @dataclass
@@ -119,6 +124,41 @@ def build_fock(js: JacobiSequence, tol=None):
     return fock, ops
 
 
+def _check_word_length(ops: FieldOperators, k: int) -> None:
+    limit = 2 * ops.N + (1 if ops.alpha_levels >= ops.N else 0)
+    if k > limit:
+        raise WordLengthError(
+            f"word of length {k} exceeds the supported maximum {limit} for N={ops.N}"
+        )
+
+
+def _field_step(ops: FieldOperators, j: int, state: dict, reach: int) -> dict:
+    """X_j on a graded state; a level above reach, the letters left to act, is never formed."""
+    new = {}
+
+    def _add(level, vec):
+        if level in new:
+            new[level] = [a + b for a, b in zip(new[level], vec)]
+        else:
+            new[level] = list(vec)
+
+    for lvl, vec in state.items():
+        if lvl < ops.N and lvl < reach:
+            _add(lvl + 1, linalg.mat_vec(ops.aplus[j][lvl], vec))
+        if lvl <= ops.alpha_levels and lvl <= reach:
+            _add(lvl, linalg.mat_vec(ops.alpha[j][lvl], vec))
+        if 1 <= lvl <= reach + 1:
+            _add(lvl - 1, linalg.mat_vec(ops.aminus[j][lvl], vec))
+    return new
+
+
+def _vacuum_expectation(fock: FockSpace, state: dict):
+    bottom = state.get(0)
+    if bottom is None:
+        return Fraction(0) if fock.backend == "exact" else 0.0
+    return fock.gomega[0][0][0] * bottom[0]
+
+
 def moment_of_word(fock: FockSpace, ops: FieldOperators, word) -> object:
     """Vacuum expectation of the product of field operators along the word.
 
@@ -128,42 +168,36 @@ def moment_of_word(fock: FockSpace, ops: FieldOperators, word) -> object:
     the word length, which never exceeds floor(len/2).
     """
     word = list(word)
-    k = len(word)
     for j in word:
         if not 1 <= j <= fock.d:
             raise ValueError(f"coordinate {j} out of range 1..{fock.d}")
-    limit = 2 * fock.N + (1 if ops.alpha_levels >= fock.N else 0)
-    if k > limit:
-        raise WordLengthError(
-            f"word of length {k} exceeds the supported maximum {limit} for N={fock.N}"
-        )
-    zero = Fraction(0) if fock.backend == "exact" else 0.0
-    cap_level = min(fock.N, k // 2)
+    _check_word_length(ops, len(word))
     state = fock.vacuum()
     for step, j in enumerate(reversed(word), start=1):
-        remaining = k - (step - 1)
-        new = {}
+        state = _field_step(ops, j, state, len(word) - step)
+    return _vacuum_expectation(fock, state)
 
-        def _add(level, vec):
-            if level in new:
-                new[level] = [a + b for a, b in zip(new[level], vec)]
-            else:
-                new[level] = list(vec)
 
-        for lvl, vec in state.items():
-            if lvl > remaining:
-                continue  # cannot descend back to the vacuum in time
-            if lvl < cap_level:
-                _add(lvl + 1, linalg.mat_vec(ops.aplus[j][lvl], vec))
-            if lvl <= ops.alpha_levels:
-                _add(lvl, linalg.mat_vec(ops.alpha[j][lvl], vec))
-            if lvl >= 1:
-                _add(lvl - 1, linalg.mat_vec(ops.aminus[j][lvl], vec))
-        state = new
-    bottom = state.get(0)
-    if bottom is None:
-        return zero
-    return fock.gomega[0][0][0] * bottom[0]
+def vacuum_moments(fock: FockSpace, ops: FieldOperators, top: int) -> dict:
+    """Ascending-word vacuum moment of every monomial of degree <= top.
+
+    With j the smallest coordinate used by m, the state of m is X_j applied
+    to the state of m - e_j.  The walk is depth first; its stack holds at
+    most d states per degree, never a table of all states.
+    """
+    _check_word_length(ops, top)
+    moments = {}
+    stack = [((0,) * fock.d, fock.vacuum(), fock.d)]  # (m, its state, largest next letter)
+    while stack:
+        m, state, last = stack.pop()
+        moments[m] = _vacuum_expectation(fock, state)
+        reach = top - sum(m) - 1
+        if reach < 0:
+            continue
+        for j in range(1, last + 1):
+            child = m[: j - 1] + (m[j - 1] + 1,) + m[j:]
+            stack.append((child, _field_step(ops, j, state, reach), j))
+    return moments
 
 
 def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL, _prebuilt=None) -> Report:
@@ -187,15 +221,12 @@ def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL, _prebuilt=None) -> Report:
     fock, ops = build_fock(js, tol)
     exact = phi.backend == "exact"
     top = min(js.max_word_length(), phi.max_degree)
+    rebuilt = vacuum_moments(fock, ops, top)
     report = Report(name=f"moment roundtrip to degree {top}")
     for degree in range(top + 1):
         worst = 0
         for m in enumerate_level(phi.d, degree):
-            word = []
-            for j, count in enumerate(m, start=1):
-                word.extend([j] * count)
-            rebuilt = moment_of_word(fock, ops, word)
-            dev = abs(rebuilt - phi.values[m])
+            dev = abs(rebuilt[m] - phi.values[m])
             if dev > worst:
                 worst = dev
         report.add(

@@ -24,6 +24,7 @@ from .errors import PositivityError
 from .mindex import enumerate_level, level_dimension
 from .moments import MomentFunctional, apply, check_state_positivity, gram
 from .poly import Polynomial, monomial
+from .reports import Report
 
 __all__ = [
     "GradedLevel",
@@ -55,6 +56,7 @@ class GradedBasis:
     N: int
     tol: float
     levels: list = field(default_factory=list)
+    positivity: Report = None  # the state positivity check run before the build
 
     @property
     def d(self):
@@ -79,7 +81,7 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
     if not pos.ok:
         bad = pos.first_failure()
         raise PositivityError(f"moment functional is not positive: {bad.label}")
-    gb = GradedBasis(phi=phi, N=N, tol=tol)
+    gb = GradedBasis(phi=phi, N=N, tol=tol, positivity=pos)
     scale = 1.0
     if phi.backend == "float":
         scale = max(1.0, max(abs(float(v)) for v in phi.values.values()))

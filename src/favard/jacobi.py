@@ -177,7 +177,7 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
     exact = js.backend == "exact"
     report = Report(name="favard conditions")
     for n, g in enumerate(js.gomega):
-        dev = _sym_dev(g)
+        dev = linalg.mat_max_diff(g, linalg.transpose(g))
         report.add(
             f"Gomega symmetric level {n}",
             dev == 0 if exact else dev <= tol,
@@ -196,7 +196,7 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
         if js.backend == "float":
             diag = [float(x) for x in diag]
         back = [[diag[r] * omega[r][c] for c in range(len(g))] for r in range(len(g))]
-        dev = _max_diff_mat(back, g)
+        dev = linalg.mat_max_diff(back, g)
         report.add(
             f"tensor-metric symmetry of Omega level {n}",
             dev == 0 if exact else dev <= tol,
@@ -222,7 +222,7 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
         for n, a in enumerate(mats):
             lhs = linalg.mat_mul(js.gomega[n], a)
             rhs = linalg.mat_mul(linalg.transpose(a), js.gomega[n])
-            dev = _max_diff_mat(lhs, rhs)
+            dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"alpha symmetry j={j} level {n}",
                 dev == 0 if exact else dev <= tol,
@@ -232,33 +232,13 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
         for n in range(js.N + 1):
             u = js.umat[n]
             back = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), js.grams[n]), u)
-            dev = _max_diff_mat(back, js.gomega[n])
+            dev = linalg.mat_max_diff(back, js.gomega[n])
             report.add(
                 f"U-unitarity level {n}",
                 dev == 0 if exact else dev <= tol,
                 deviation=dev,
             )
     return report
-
-
-def _sym_dev(g):
-    worst = 0
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            d = abs(g[i][j] - g[j][i])
-            if d > worst:
-                worst = d
-    return worst
-
-
-def _max_diff_mat(a, b):
-    worst = 0
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            d = abs(x - y)
-            if d > worst:
-                worst = d
-    return worst
 
 
 # --------------------------------------------------------------- file format
@@ -408,13 +388,12 @@ def analyze(phi, N, tol=linalg.DEFAULT_TOL, with_roundtrip=True) -> MeasureAnaly
     from .cap import extract_cap, verify_adjointness, verify_commutators, verify_jacobi_relation
     from .fock import roundtrip_report
     from .gradation import build_gradation, termination_level
-    from .moments import check_state_positivity
 
     gb = build_gradation(phi, N, tol)
     cap = extract_cap(gb)
     js = extract_jacobi(gb, cap)
     reports = {
-        "positivity": check_state_positivity(phi, N, tol),
+        "positivity": gb.positivity,
         "jacobi_relation": verify_jacobi_relation(cap, gb, phi, tol),
         "adjointness": verify_adjointness(cap, gb, tol),
         "commutators": verify_commutators(cap, tol),

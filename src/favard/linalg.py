@@ -23,14 +23,12 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "identity",
-    "zero_matrix",
     "mat_max_abs",
-    "seminorm_sq",
+    "mat_max_diff",
     "solve_min_norm",
     "nullspace",
     "rank",
     "psd_floor",
-    "is_psd",
 ]
 
 
@@ -62,9 +60,16 @@ def _fail_shape(a, b):
 
 
 def _dot(u, v):
+    """Sum of x*y over the terms whose factors are both nonzero.
+
+    Creation shifts, diagonal Grams and sparse CAP blocks make most terms
+    zero.  For finite entries a skipped term is an exact zero that would
+    not change the partial sum, so this equals the dense sum (0 if empty).
+    """
     total = 0
     for x, y in zip(u, v):
-        total += x * y
+        if x and y:
+            total += x * y
     return total
 
 
@@ -81,10 +86,6 @@ def identity(n, one=1):
     return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_max_abs(a):
     worst = 0
     for row in a:
@@ -94,9 +95,9 @@ def mat_max_abs(a):
     return worst
 
 
-def seminorm_sq(g, v):
-    """v^T g v, the squared seminorm of a coefficient vector under a Gram matrix."""
-    return _dot(v, mat_vec(g, v))
+def mat_max_diff(a, b):
+    """Largest entrywise |a - b|; 0 when there are no entries."""
+    return mat_max_abs([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
 
 # ------------------------------------------------------------- exact family
@@ -354,7 +355,3 @@ def psd_floor(g, backend, tol=DEFAULT_TOL):
     lam_min = float(w.min())
     lam_max = float(np.abs(w).max())
     return lam_min >= -tol * max(1.0, lam_max), lam_min
-
-
-def is_psd(g, backend, tol=DEFAULT_TOL):
-    return psd_floor(g, backend, tol)[0]

@@ -204,6 +204,21 @@ def _all_indices(d, max_degree):
         yield from enumerate_level(d, n)
 
 
+def _atomic_moments(pts, wts, d, max_degree):
+    """Exact moments of the atoms pts carrying the normalized weights wts."""
+    values = {}
+    for m in _all_indices(d, max_degree):
+        v = Fraction(0)
+        for p, w in zip(pts, wts):
+            term = w
+            for x, k in zip(p, m):
+                if k:
+                    term *= x**k
+            v += term
+        values[m] = v
+    return values
+
+
 def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
     """Moment functional of a named catalog measure.
 
@@ -242,16 +257,7 @@ def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
         total = sum(wts)
         if total == 0:
             raise ValueError("atom weights sum to zero")
-        wts = [w / total for w in wts]
-        for m in _all_indices(d, max_degree):
-            v = Fraction(0)
-            for point, w in zip(pts, wts):
-                term = w
-                for x, k in zip(point, m):
-                    if k:
-                        term *= x**k
-                v += term
-            values[m] = v
+        values = _atomic_moments(pts, [w / total for w in wts], d, max_degree)
     if backend == "float":
         values = {m: float(v) for m, v in values.items()}
     label = f"catalog:{name}(d={d})"
@@ -292,17 +298,7 @@ def from_samples(points, max_degree, weights=None, backend=None):
         total = sum(weights)
         if total == 0:
             raise ValueError("weights sum to zero")
-        weights = [w / total for w in weights]
-        values = {}
-        for m in _all_indices(d, max_degree):
-            v = Fraction(0)
-            for p, w in zip(pts, weights):
-                term = w
-                for x, k in zip(p, m):
-                    if k:
-                        term *= x**k
-                v += term
-            values[m] = v
+        values = _atomic_moments(pts, [w / total for w in weights], d, max_degree)
     else:
         import numpy as np
 

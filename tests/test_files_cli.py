@@ -154,6 +154,36 @@ def test_bad_moment_file_is_exit_two(tmp_path, capsys):
     assert "mass" in err or "normal" in err
 
 
+def test_non_finite_moment_file_is_exit_two(tmp_path, capsys):
+    for bad in (float("nan"), float("inf")):
+        f = tmp_path / "nan.moments.json"
+        f.write_text(json.dumps({
+            "d": 1, "max_degree": 2, "scalar": "float",
+            "moments": [{"m": [0], "v": 1.0}, {"m": [1], "v": bad},
+                        {"m": [2], "v": 1.0}],
+        }))
+        code, _, err = run(capsys, "verify", "--moments", str(f), "--N", "1",
+                           "--backend", "float")
+        assert code == 2 and "finite" in err
+
+
+def test_non_finite_jacobi_file_is_exit_two(tmp_path, capsys):
+    j = tmp_path / "nan.jacobi.json"
+    m = tmp_path / "never.moments.json"
+    j.write_text(json.dumps({
+        "d": 1, "N": 1, "order": "graded-lex", "metric": "m!/n!",
+        "levels": [
+            {"n": 0, "Gomega": [[1.0]], "alpha": {"1": [[float("nan")]]}},
+            {"n": 1, "Gomega": [[1.0]], "alpha": {"1": [[0.0]]}},
+        ],
+    }))
+    code, _, err = run(capsys, "verify", "--jacobi", str(j))
+    assert code == 2 and "finite" in err
+    code, _, err = run(capsys, "reconstruct", "--jacobi", str(j), "--out", str(m))
+    assert code == 2 and "finite" in err
+    assert not m.exists()
+
+
 def test_usage_errors_are_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--measure", "gaussian_product",
                        "--N", "2", "--out", str(tmp_path / "x.json"))

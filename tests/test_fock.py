@@ -10,9 +10,10 @@ from favard.errors import (
     FavardConditionError,
     WordLengthError,
 )
-from favard.fock import build_fock, moment_of_word, roundtrip_report
+from favard.fock import build_fock, moment_of_word, roundtrip_report, vacuum_moments
 from favard.gradation import build_gradation
 from favard.jacobi import JacobiSequence, extract_jacobi
+from favard.mindex import enumerate_level
 from favard.moments import from_catalog
 
 
@@ -101,6 +102,57 @@ def test_degenerate_words_stay_exact():
     for k in range(9):
         expect = 1 if k % 2 == 0 else 0
         assert moment_of_word(fock, ops, (1,) * k) == expect
+
+
+def _ascending_word(m):
+    return [j for j, count in enumerate(m, start=1) for _ in range(count)]
+
+
+def _assert_walk_matches_words(js, fock, ops):
+    top = js.max_word_length()
+    walked = vacuum_moments(fock, ops, top)
+    expected = {m: moment_of_word(fock, ops, _ascending_word(m))
+                for n in range(top + 1) for m in enumerate_level(js.d, n)}
+    assert walked == expected
+    return walked
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name,d,N", [
+    ("gaussian_product", 2, 3), ("circle_uniform", 2, 4),
+    ("uniform_box", 3, 2), ("exponential_product", 1, 6),
+    ("rademacher_product", 2, 2),
+])
+def test_one_pass_moments_equal_ascending_words(name, d, N, backend):
+    phi, js, fock, ops = _fock(name, d, N, backend=backend)
+    _assert_walk_matches_words(js, fock, ops)
+
+
+def _noncommuting_sequence():
+    # admissible, but X_1 and X_2 do not commute: alpha_{1,1} swaps the two
+    # level-1 directions while alpha_{2,1} weighs only the first
+    zero, one = Fraction(0), Fraction(1)
+    return JacobiSequence(
+        d=2, N=1, backend="exact",
+        gomega=[[[one]], [[one, zero], [zero, one]]],
+        alpha={1: [[[zero]], [[zero, one], [one, zero]]],
+               2: [[[zero]], [[Fraction(5), zero], [zero, zero]]]},
+    )
+
+
+def test_one_pass_moments_follow_the_ascending_word_order():
+    js = _noncommuting_sequence()
+    fock, ops = build_fock(js)
+    assert moment_of_word(fock, ops, (1, 1, 2)) == 1
+    assert moment_of_word(fock, ops, (1, 2, 1)) == 5
+    walked = _assert_walk_matches_words(js, fock, ops)
+    assert walked[(2, 1)] == 1
+
+
+def test_one_pass_moments_respect_the_word_length_limit():
+    phi, js, fock, ops = _fock("exponential_product", 1, 2)
+    with pytest.raises(WordLengthError):
+        vacuum_moments(fock, ops, js.max_word_length() + 1)
 
 
 # --------------------------------------------------------------- roundtrip

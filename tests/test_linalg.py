@@ -116,3 +116,62 @@ def test_matrix_helpers():
     assert transpose(a) == [[1, 3], [2, 4]]
     assert mat_mul(a, identity(2, Fraction(1))) == a
     assert mat_vec(a, [Fraction(1), Fraction(1)]) == [3, 7]
+
+
+# ------------------------------------------------------ zero-skipping kernel
+
+
+def _dense_dot(u, v):
+    """Sum of every product u[k] * v[k], zero factors included."""
+    return sum((u[k] * v[k] for k in range(len(v))), 0)
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+# mostly zeros, so zero rows and columns are common; the tiny floats make
+# products that underflow to -0.0
+exact_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), frac)
+float_entries = st.one_of(
+    st.just(0.0), st.just(-0.0), st.sampled_from([1e-200, -1e-200]),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+)
+
+
+def _sparse(entries, rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(["exact", "float"]), st.data())
+@settings(max_examples=150)
+def test_kernels_equal_the_dense_sum(r, k, c, backend, data):
+    entries = exact_entries if backend == "exact" else float_entries
+    a = data.draw(_sparse(entries, r, k))
+    b = data.draw(_sparse(entries, k, c))
+    v = data.draw(st.lists(entries, min_size=k, max_size=k))
+    want = [[_dense_dot(row, col) for col in zip(*b)] for row in a] if k else [[]] * r
+    got = mat_mul(a, b)
+    assert got == want
+    want_v = [_dense_dot(row, v) for row in a]
+    got_v = mat_vec(a, v)
+    assert got_v == want_v
+    if backend == "float":
+        assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]
+        assert [_bits(x) for x in got_v] == [_bits(x) for x in want_v]
+
+
+def test_kernels_on_zero_rows_columns_and_signed_zeros():
+    a = [[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, Fraction(-1, 3)]]
+    b = [[0, 2], [0, 0], [Fraction(3), 0]]
+    assert mat_mul(a, b) == [[0, 0], [0, 0], [-1, 6]]
+    assert mat_vec(a, [1, 4, Fraction(3)]) == [2, 0, 2]
+    af = [[-0.0, 1e-200], [0.0, 0.0]]
+    got = mat_vec(af, [5.0, -1e-200])
+    assert [_bits(x) for x in got] == [_bits(0.0), _bits(0.0)]
+    assert mat_mul([[1.0, 2.0]], [[], []]) == [[]]
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_vec([[], []], []) == [0, 0]
+    assert mat_mul([], [[1]]) == [] and mat_vec([], [1]) == []
