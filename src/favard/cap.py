@@ -8,11 +8,13 @@ blocks, written in the monic level bases, are
     Azero[j][n]  : d_n     x d_n   level n -> n
     Aminus[j][n] : d_{n-1} x d_n   level n -> n-1
 
-Each column is the minimum-norm solution of the Gram system of the target
-level, so on degenerate levels the representative supported on the kernel
-complement is chosen; identities involving adjoints therefore hold in the
-G-weighted sense, never entrywise.  Aminus[j][0] is the empty matrix (the
-vacuum has no level below).
+Each block solves G_target X = P_target L_j P_source^T, where P_n holds the
+level-n basis as coefficient rows (module gradation) and L_j = [phi(x_j x^a
+x^b)] is the localizing matrix of x_j.  Each column is the minimum-norm
+solution, so on degenerate levels the representative supported on the
+kernel complement is chosen; identities involving adjoints therefore hold
+in the G-weighted sense, never entrywise.  Aminus[j][0] is the empty
+matrix (the vacuum has no level below).
 
 Preservation blocks need moments one degree beyond the Gram data (degree
 2n+1 at level n), so the top level N carries Azero only when the moment
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import MomentDegreeError
 from .gradation import GradedBasis
-from .moments import apply
-from .poly import coordinate_multiply
+from .mindex import enumerate_upto
 from .reports import Report
 
 __all__ = [
@@ -44,78 +45,61 @@ class CapOperators:
     backend: str
     tol: float
     grams: list
-    kernels: list
     aplus: dict
     azero: dict
     aminus: dict
     alpha_levels: int
 
 
-def _solve_columns(gram_matrix, rhs_columns, backend, tol):
-    """Min-norm solves, one per column; returns the matrix with those columns."""
-    if not rhs_columns:
-        return []
-    rows = len(gram_matrix)
-    if rows and all(x == 0 for row in gram_matrix for x in row):
+def _solve(gram_matrix, pairing, backend, tol):
+    """Min-norm solution X of G X = B, one solve per column of B."""
+    if all(x == 0 for row in gram_matrix for x in row):
         # dead target level: its kernel complement is {0}, and positivity
         # (Cauchy-Schwarz) forces the true pairings to zero, so any nonzero
         # right hand side on the float backend is cancellation noise
         zero = 0 if backend == "exact" else 0.0
-        return [[zero] * len(rhs_columns) for _ in range(rows)]
-    sols = linalg.solve_min_norm(gram_matrix, rhs_columns, backend, tol)
+        return [[zero] * len(pairing[0]) for _ in gram_matrix]
+    sols = linalg.solve_min_norm(gram_matrix, linalg.transpose(pairing), backend, tol)
     return linalg.transpose(sols)
 
 
-def extract_cap(gb: GradedBasis, phi=None) -> CapOperators:
+def extract_cap(gb: GradedBasis) -> CapOperators:
     """Extract all CAP matrices from a built gradation.
 
-    phi defaults to the functional the gradation was built from.  Needs
-    moments to degree 2N for the creation and annihilation blocks; the
+    Needs moments to degree 2N for the creation and annihilation blocks; the
     level-N preservation block additionally needs degree 2N+1 and is
     omitted (alpha_levels = N-1) when the budget stops at 2N.
     """
-    phi = gb.phi if phi is None else phi
-    if phi.d != gb.d:
-        raise ValueError("functional dimension does not match gradation")
     N = gb.N
-    if phi.max_degree < 2 * N:
+    if gb.phi.max_degree < 2 * N:
         raise MomentDegreeError(
             f"cap extraction to level {N} needs moments to degree {2 * N}"
         )
-    alpha_levels = N if phi.max_degree >= 2 * N + 1 else max(N - 1, 0)
-    if N == 0 and phi.max_degree < 1:
+    alpha_levels = N if gb.phi.max_degree >= 2 * N + 1 else max(N - 1, 0)
+    if N == 0 and gb.phi.max_degree < 1:
         alpha_levels = -1  # not even Azero[j][0] = [phi(X_j)] is computable
     backend, tol = gb.backend, gb.tol
-    aplus = {}
-    azero = {}
-    aminus = {}
+    grams = [lvl.gram for lvl in gb.levels]
+    rows = [lvl.coeffs for lvl in gb.levels]
+    aplus, azero, aminus = {}, {}, {}
     for j in range(1, gb.d + 1):
-        ap, a0 = [], []
-        am = [[]]  # Aminus[j][0] is the empty matrix: no level below the vacuum
-        for n in range(N + 1):
-            lvl = gb.level(n)
-            shifted = [coordinate_multiply(p, j) for p in lvl.basis]
-            if n <= N - 1:
-                nxt = gb.level(n + 1)
-                cols = [[apply(phi, q * s) for q in nxt.basis] for s in shifted]
-                ap.append(_solve_columns(nxt.gram, cols, backend, tol))
-            if n <= alpha_levels:
-                cols = [[apply(phi, q * s) for q in lvl.basis] for s in shifted]
-                a0.append(_solve_columns(lvl.gram, cols, backend, tol))
-            if n >= 1:
-                prev = gb.level(n - 1)
-                cols = [[apply(phi, q * s) for q in prev.basis] for s in shifted]
-                am.append(_solve_columns(prev.gram, cols, backend, tol))
-        aplus[j] = ap
-        azero[j] = a0
-        aminus[j] = am
+        shift = tuple(int(i == j) for i in range(1, gb.d + 1))
+        aplus[j], azero[j] = [], []
+        aminus[j] = [[]]  # Aminus[j][0] is the empty matrix: no level below the vacuum
+        for n in range(N):
+            # L_j is symmetric, so the transpose of <p_{n+1}, x_j p_n> is
+            # <p_n, x_j p_{n+1}>, the annihilation pairing one level up
+            up = gb.pairing(rows[n + 1], rows[n], shift)
+            aplus[j].append(_solve(grams[n + 1], up, backend, tol))
+            aminus[j].append(_solve(grams[n], linalg.transpose(up), backend, tol))
+        for n in range(alpha_levels + 1):
+            azero[j].append(_solve(grams[n], gb.pairing(rows[n], rows[n], shift), backend, tol))
     return CapOperators(
         d=gb.d,
         N=N,
         backend=backend,
         tol=tol,
-        grams=[lvl.gram for lvl in gb.levels],
-        kernels=[lvl.kernel for lvl in gb.levels],
+        grams=grams,
         aplus=aplus,
         azero=azero,
         aminus=aminus,
@@ -123,48 +107,37 @@ def extract_cap(gb: GradedBasis, phi=None) -> CapOperators:
     )
 
 
-def _dev_ok(dev, backend, tol):
-    return dev == 0 if backend == "exact" else abs(dev) <= tol
-
-
-def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis, phi=None, tol=None):
+def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis, tol=None):
     """Check that X_j p_{n,m} equals its three-block image up to zero seminorm.
 
-    The residual is a polynomial of zero length only in degenerate cases;
-    what must vanish is its squared seminorm under phi.
+    The residual r = X_j p - (its images in levels n+1, n, n-1) is formed
+    as a coefficient row over the monomials of degree <= n+1 first, and its
+    squared seminorm r^T H r must vanish; the residual itself is nonzero
+    in degenerate cases.  Expanding the form into differences of pairings
+    instead would cancel in floats.
     """
-    phi = gb.phi if phi is None else phi
     tol = cap.tol if tol is None else tol
     report = Report(name="three-term relation")
+    monos = enumerate_upto(cap.d, cap.N)
+    pos = {m: i for i, m in enumerate(monos)}
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
-            lvl, nxt = gb.level(n), gb.level(n + 1)
-            prev = gb.level(n - 1) if n >= 1 else None
-            worst = 0
-            for col, p in enumerate(lvl.basis):
-                image = None
-
-                def _acc(image, coeffs_matrix, basis):
-                    for i, q in enumerate(basis):
-                        c = coeffs_matrix[i][col]
-                        if c != 0:
-                            image = q * c if image is None else image + q * c
-                    return image
-
-                image = _acc(image, cap.aplus[j][n], nxt.basis)
-                if n <= cap.alpha_levels:
-                    image = _acc(image, cap.azero[j][n], lvl.basis)
-                if prev is not None:
-                    image = _acc(image, cap.aminus[j][n], prev.basis)
-                r = coordinate_multiply(p, j)
-                if image is not None:
-                    r = r - image
-                dev = abs(apply(phi, r * r))
-                if dev > worst:
-                    worst = dev
+            res = [[0] * len(enumerate_upto(cap.d, n + 1)) for _ in gb.level(n).coeffs]
+            for row, p in zip(res, gb.level(n).coeffs):
+                for m, c in zip(monos, p):
+                    row[pos[m[: j - 1] + (m[j - 1] + 1,) + m[j:]]] = c
+            images = [(cap.aplus[j][n], n + 1), (cap.azero[j][n], n)]
+            if n >= 1:
+                images.append((cap.aminus[j][n], n - 1))
+            for block, k in images:
+                image = linalg.mat_mul(linalg.transpose(block), gb.level(k).coeffs)
+                for row, img in zip(res, image):
+                    row[: len(img)] = [x - c for x, c in zip(row, img)]
+            form = gb.pairing(res, res)
+            worst = max([0] + [abs(form[i][i]) for i in range(len(res))])
             report.add(
                 f"residual seminorm j={j} level {n}",
-                _dev_ok(worst, cap.backend, tol),
+                linalg.within(worst, cap.backend, tol),
                 deviation=worst,
             )
     return report
@@ -185,7 +158,7 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
             dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"creation-annihilation adjoint j={j} level {n}",
-                _dev_ok(dev, cap.backend, tol),
+                linalg.within(dev, cap.backend, tol),
                 deviation=dev,
             )
         for n in range(cap.alpha_levels + 1):
@@ -195,7 +168,7 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
             dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"preservation self-adjoint j={j} level {n}",
-                _dev_ok(dev, cap.backend, tol),
+                linalg.within(dev, cap.backend, tol),
                 deviation=dev,
             )
     return report
@@ -239,7 +212,7 @@ def verify_commutators(cap: CapOperators, tol=None):
                 dev = _seminorm_dev(cap.grams[n + 2], diff)
                 report.add(
                     f"creators commute j={j},k={k} level {n}",
-                    _dev_ok(dev, cap.backend, tol),
+                    linalg.within(dev, cap.backend, tol),
                     deviation=dev,
                 )
             for n in range(min(cap.N - 1, cap.alpha_levels)):
@@ -257,7 +230,7 @@ def verify_commutators(cap: CapOperators, tol=None):
                 dev = _seminorm_dev(cap.grams[n + 1], diff)
                 report.add(
                     f"creation-preservation commutator j={j},k={k} level {n}",
-                    _dev_ok(dev, cap.backend, tol),
+                    linalg.within(dev, cap.backend, tol),
                     deviation=dev,
                 )
             for n in range(min(cap.N, cap.alpha_levels + 1)):
@@ -279,7 +252,7 @@ def verify_commutators(cap: CapOperators, tol=None):
                 dev = _seminorm_dev(cap.grams[n], total)
                 report.add(
                     f"mixed commutator j={j},k={k} level {n}",
-                    _dev_ok(dev, cap.backend, tol),
+                    linalg.within(dev, cap.backend, tol),
                     deviation=dev,
                 )
     return report

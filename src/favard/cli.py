@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from ._util import atomic_write_text
-from .errors import FavardError
+from ._util import atomic_write_text, parse_float
+from .errors import FavardError, FileFormatError
 from .fock import build_fock, vacuum_moments
 from .jacobi import analyze, jacobi_file_text, load_jacobi_file, verify_favard_conditions
 from .moments import (
@@ -124,12 +124,14 @@ def _load_samples_file(path, max_degree, backend):
         doc = json.load(fh)
     if not isinstance(doc, dict) or not set(doc) <= {"points", "weights"} or "points" not in doc:
         raise ValueError("sample file must be an object with 'points' and optional 'weights'")
-    points = doc["points"]
-    weights = doc.get("weights")
-    if backend == "exact":
-        points = [[_parse_atom_scalar(x) for x in p] for p in points]
-        if weights is not None:
-            weights = [_parse_atom_scalar(w) for w in weights]
+    points, weights = doc["points"], doc.get("weights")
+    if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
+        raise FileFormatError("sample file: 'points' must be a list of coordinate lists")
+    if not isinstance(weights, (list, type(None))):
+        raise FileFormatError("sample file: 'weights' must be a list")
+    parse = _parse_atom_scalar if backend == "exact" else parse_float
+    points = [[parse(x) for x in p] for p in points]
+    weights = None if weights is None else [parse(w) for w in weights]
     return from_samples(points, max_degree, weights=weights, backend=backend)
 
 

@@ -219,7 +219,6 @@ def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL, _prebuilt=None) -> Report:
     else:
         gb, cap, js = _prebuilt
     fock, ops = build_fock(js, tol)
-    exact = phi.backend == "exact"
     top = min(js.max_word_length(), phi.max_degree)
     rebuilt = vacuum_moments(fock, ops, top)
     report = Report(name=f"moment roundtrip to degree {top}")
@@ -231,7 +230,7 @@ def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL, _prebuilt=None) -> Report:
                 worst = dev
         report.add(
             f"moments of degree {degree}",
-            worst == 0 if exact else worst <= tol,
+            linalg.within(worst, phi.backend, tol),
             deviation=worst,
         )
     return report

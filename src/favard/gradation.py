@@ -4,26 +4,28 @@ Level n is spanned by the monic polynomials
 
     p_{n,m} = X^m - (projection of X^m onto all earlier levels),
 
-one per multi-index m of degree n.  The projection onto an earlier level k
-solves the Gram system G_k c = <basis_k, X^m> for the minimum Euclidean
-norm coefficient vector, so degenerate levels (singular G_k) are handled
-without quotienting: the representative is the one supported on the
-orthogonal complement of ker G_k in coefficient space.  The polynomials
-p_{n,m} stay exactly monic; all degeneracy lives in the Gram matrices.
-
-Levels are mutually orthogonal by construction, exactly so on the exact
-backend even when Gram matrices are singular, because the projection
-systems are always consistent for a positive functional and are solved
-exactly.
+one per multi-index m of degree n, held as coefficient rows P_n over the
+monomials of degree <= n.  Pairings are products with the moment matrix
+H = [phi(x^a x^b)]: the rows of P_0..P_N form L^{-1} in the block LDL^T
+factorization of H, and G_n = P_n H P_n^T is the diagonal block D_n.
+The projection onto an earlier level k solves G_k c = P_k H e_m for the
+minimum Euclidean norm coefficient vector, so degenerate levels (singular
+G_k) are handled without quotienting: the representative is the one
+supported on the orthogonal complement of ker G_k in coefficient space.
+The polynomials stay exactly monic; all degeneracy lives in the Gram
+matrices.  Levels are mutually orthogonal by construction, exactly so on
+the exact backend even when Gram matrices are singular, because the
+projection systems are always consistent for a positive functional.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
 from .errors import PositivityError
-from .mindex import enumerate_level, level_dimension
-from .moments import MomentFunctional, apply, check_state_positivity, gram
-from .poly import Polynomial, monomial
+from .mindex import enumerate_level, enumerate_upto
+from .moments import MomentFunctional, check_state_positivity, moment_matrix
+from .poly import Polynomial
 from .reports import Report
 
 __all__ = [
@@ -38,14 +40,24 @@ __all__ = [
 
 @dataclass
 class GradedLevel:
-    """One level of the gradation: monic basis, Gram matrix, kernel data."""
+    """One level: monic basis rows, Gram matrix G_n = P_n H P_n^T, kernel data.
+
+    coeffs[i] holds p_{n, indices[i]} as coefficients over the monomials of
+    degree <= n in mindex.enumerate_upto order; kernel is a basis of ker G_n.
+    """
 
     n: int
     indices: tuple
-    basis: list
+    coeffs: list
     gram: list
     kernel: list
     rank: int
+
+    @property
+    def basis(self):
+        """The basis as Polynomials, for display and tests; the pipeline reads coeffs."""
+        monos = enumerate_upto(len(self.indices[0]), self.n)
+        return [Polynomial(len(monos[0]), dict(zip(monos, row))) for row in self.coeffs]
 
 
 @dataclass
@@ -69,6 +81,12 @@ class GradedBasis:
     def level(self, n) -> GradedLevel:
         return self.levels[n]
 
+    def pairing(self, a, b, shift=None):
+        """[phi(p q x^shift)] for the coefficient rows p in a and q in b: a L b^T."""
+        monos = enumerate_upto(self.d, self.phi.max_degree)
+        loc = moment_matrix(self.phi, monos[: len(a[0])], monos[: len(b[0])], shift)
+        return linalg.mat_mul(linalg.mat_mul(a, loc), linalg.transpose(b))
+
 
 def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> GradedBasis:
     """Construct levels 0..N for phi.
@@ -85,18 +103,19 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
     scale = 1.0
     if phi.backend == "float":
         scale = max(1.0, max(abs(float(v)) for v in phi.values.values()))
+    cast = Fraction if phi.backend == "exact" else float
     for n in range(N + 1):
         idxs = enumerate_level(phi.d, n)
-        basis = []
-        for m in idxs:
-            q = monomial(phi.d, m)
-            acc = q
-            for k in range(n):
-                comp = _level_projection(gb, q, k)
-                if comp is not None:
-                    acc = acc - comp
-            basis.append(acc)
-        g = gram(phi, basis, basis)
+        low = len(enumerate_upto(phi.d, n - 1))  # level-n monomials are the last columns
+        units = [[0] * low + unit for unit in linalg.identity(len(idxs))]  # the X^m
+        rows = [row[:] for row in units]
+        for lvl in gb.levels:
+            # one min-norm solve per earlier level, one column per monomial X^m
+            rhs = linalg.transpose(gb.pairing(lvl.coeffs, units))
+            sols = linalg.solve_min_norm(lvl.gram, rhs, phi.backend, tol)
+            for row, corr in zip(rows, linalg.mat_mul(sols, lvl.coeffs)):
+                row[: len(corr)] = [x - c for x, c in zip(row, corr)]
+        g = [[cast(x) for x in row] for row in gb.pairing(rows, rows)]
         # a float level whose whole Gram sits below the moment scale is
         # cancellation noise around a true zero; its own largest eigenvalue
         # is no scale reference, so floor it before any rank decision
@@ -105,22 +124,9 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         kern = linalg.nullspace(g, phi.backend, tol)
         rank = len(idxs) - len(kern)
         gb.levels.append(
-            GradedLevel(n=n, indices=idxs, basis=basis, gram=g, kernel=kern, rank=rank)
+            GradedLevel(n=n, indices=idxs, coeffs=rows, gram=g, kernel=kern, rank=rank)
         )
     return gb
-
-
-def _level_projection(gb: GradedBasis, q: Polynomial, k: int):
-    """Projection of q onto level k as a Polynomial, or None when it is zero."""
-    coeffs = project_onto_level(gb, q, k)
-    if all(c == 0 for c in coeffs):
-        return None
-    lvl = gb.level(k)
-    out = Polynomial(gb.d, {})
-    for c, p in zip(coeffs, lvl.basis):
-        if c != 0:
-            out = out + c * p
-    return out
 
 
 def project_onto_level(gb: GradedBasis, q: Polynomial, n: int):
@@ -131,7 +137,8 @@ def project_onto_level(gb: GradedBasis, q: Polynomial, n: int):
     level basis stay inside the moment budget.
     """
     lvl = gb.level(n)
-    b = [apply(gb.phi, p * q) for p in lvl.basis]
+    pairing = moment_matrix(gb.phi, enumerate_upto(gb.d, n), list(q.terms))
+    b = linalg.mat_vec(linalg.mat_mul(lvl.coeffs, pairing), list(q.terms.values()))
     return linalg.solve_min_norm(lvl.gram, [b], gb.backend, gb.tol)[0]
 
 

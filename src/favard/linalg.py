@@ -25,6 +25,7 @@ __all__ = [
     "identity",
     "mat_max_abs",
     "mat_max_diff",
+    "within",
     "solve_min_norm",
     "nullspace",
     "rank",
@@ -98,6 +99,11 @@ def mat_max_abs(a):
 def mat_max_diff(a, b):
     """Largest entrywise |a - b|; 0 when there are no entries."""
     return mat_max_abs([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+
+
+def within(dev, backend, tol):
+    """The tolerance rule: an exact deviation must vanish, a float one be <= tol."""
+    return dev == 0 if backend == "exact" else dev <= tol
 
 
 # ------------------------------------------------------------- exact family

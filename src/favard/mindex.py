@@ -27,6 +27,7 @@ __all__ = [
     "LevelBasis",
     "level_dimension",
     "enumerate_level",
+    "enumerate_upto",
     "index_position",
     "tensor_metric",
     "creation_shift",
@@ -66,6 +67,12 @@ def enumerate_level(d: int, n: int) -> tuple:
         for tail in enumerate_level(d - 1, n - k):
             out.append((k,) + tail)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def enumerate_upto(d: int, n: int) -> tuple:
+    """Levels 0..n in order: one column order whose prefixes serve every lower n."""
+    return tuple(m for k in range(n + 1) for m in enumerate_level(d, k))
 
 
 @lru_cache(maxsize=None)

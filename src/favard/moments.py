@@ -21,14 +21,15 @@ circle_uniform       arc length on the unit circle (d=2 only),
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from . import linalg
 from ._util import atomic_write_text, format_scalar, parse_float, parse_rational
 from .errors import FileFormatError, MomentDegreeError
-from .mindex import enumerate_level
+from .mindex import enumerate_upto
 from .poly import Polynomial
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "moment_file_text",
     "apply",
     "gram",
+    "moment_matrix",
     "check_state_positivity",
     "double_factorial",
 ]
@@ -78,10 +80,9 @@ class MomentFunctional:
         if self.backend not in ("exact", "float"):
             raise ValueError(f"unknown backend {self.backend!r}")
         zero = (0,) * self.d
-        for n in range(self.max_degree + 1):
-            for m in enumerate_level(self.d, n):
-                if m not in self.values:
-                    raise ValueError(f"missing moment for multi-index {m}")
+        for m in enumerate_upto(self.d, self.max_degree):
+            if m not in self.values:
+                raise ValueError(f"missing moment for multi-index {m}")
         mass = self.values[zero]
         # exact states are normalized exactly; float ones up to rounding noise
         bad = mass != 1 if self.backend == "exact" else abs(mass - 1.0) > 1e-12
@@ -122,6 +123,17 @@ def gram(phi: MomentFunctional, a_list, b_list):
     return [[apply(phi, a * b) for b in b_list] for a in a_list]
 
 
+def moment_matrix(phi: MomentFunctional, rows, cols, shift=None):
+    """[phi(x^a x^b x^shift)] for a in rows, b in cols: the moment matrix H of
+    the monomials up to a degree, or with shift e_j the localizing matrix of x_j."""
+    if shift is not None:
+        rows = [tuple(map(add, a, shift)) for a in rows]
+    try:
+        return [[phi.values[tuple(map(add, a, b))] for b in cols] for a in rows]
+    except KeyError as exc:
+        raise MomentDegreeError(f"moment {exc} is past degree {phi.max_degree}") from None
+
+
 def check_state_positivity(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL):
     """PSD test of the monomial Gram matrices up to degree N.
 
@@ -137,10 +149,9 @@ def check_state_positivity(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL
             f"only {phi.max_degree} available"
         )
     report = Report(name=f"state positivity to degree {N}")
-    idxs = []
     for k in range(N + 1):
-        idxs.extend(enumerate_level(phi.d, k))
-        h = [[phi.values[tuple(x + y for x, y in zip(ma, mb))] for mb in idxs] for ma in idxs]
+        idxs = enumerate_upto(phi.d, k)
+        h = moment_matrix(phi, idxs, idxs)
         ok, floor = linalg.psd_floor(h, phi.backend, tol)
         detail = "" if ok else f"failing pivot index {floor}" if phi.backend == "exact" else ""
         report.add(
@@ -199,15 +210,10 @@ def _circle_moment(m):
     )
 
 
-def _all_indices(d, max_degree):
-    for n in range(max_degree + 1):
-        yield from enumerate_level(d, n)
-
-
 def _atomic_moments(pts, wts, d, max_degree):
     """Exact moments of the atoms pts carrying the normalized weights wts."""
     values = {}
-    for m in _all_indices(d, max_degree):
+    for m in enumerate_upto(d, max_degree):
         v = Fraction(0)
         for p, w in zip(pts, wts):
             term = w
@@ -230,7 +236,7 @@ def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
     values = {}
     if name in _PRODUCT_1D:
         mom1 = _PRODUCT_1D[name]
-        for m in _all_indices(d, max_degree):
+        for m in enumerate_upto(d, max_degree):
             v = Fraction(1)
             for k in m:
                 v *= mom1(k)
@@ -238,7 +244,7 @@ def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
     elif name == "circle_uniform":
         if d != 2:
             raise ValueError("circle_uniform is a planar measure, d must be 2")
-        for m in _all_indices(d, max_degree):
+        for m in enumerate_upto(d, max_degree):
             values[m] = _circle_moment(m)
     else:  # atoms
         if not atoms:
@@ -309,7 +315,7 @@ def from_samples(points, max_degree, weights=None, backend=None):
             raise ValueError("weights sum to zero")
         w = w / total
         values = {}
-        for m in _all_indices(d, max_degree):
+        for m in enumerate_upto(d, max_degree):
             prod = np.ones(len(arr))
             for col, k in enumerate(m):
                 if k:
@@ -334,7 +340,7 @@ _ENTRY_KEYS = {"m", "v"}
 def moment_file_text(phi: MomentFunctional) -> str:
     """Canonical serialization; deterministic bytes on the exact backend."""
     entries = []
-    for m in _all_indices(phi.d, phi.max_degree):
+    for m in enumerate_upto(phi.d, phi.max_degree):
         entries.append({"m": list(m), "v": format_scalar(phi.values[m], phi.backend)})
     doc = {
         "d": phi.d,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -214,6 +216,71 @@ def test_samples_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--samples", str(s), "--N", "1")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("doc,needle", [
+    ({"points": 5}, "points"),
+    ({"points": [1.0, 2.0]}, "points"),
+    ({"points": [[1.0], [2.0]], "weights": 5}, "weights"),
+    ({"points": [[float("nan")], [1.0]]}, ""),
+    ({"points": [[1e400], [1.0]]}, ""),
+    ({"points": [[1.0], [2.0]], "weights": [float("nan"), 1.0]}, ""),
+    ({"points": [[1.0], [2.0]], "weights": [1e400, 1.0]}, ""),
+])
+def test_malformed_sample_file_is_exit_two(tmp_path, capsys, backend, doc, needle):
+    s = tmp_path / "bad.samples.json"
+    # json.dumps writes NaN and Infinity tokens; 1e400 is written as Infinity
+    s.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--samples", str(s), "--N", "1",
+                       "--backend", backend)
+    assert code == 2
+    assert needle in err
+    if backend == "float" and not needle:
+        assert "finite" in err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_float_sample_file_loads(tmp_path, capsys, backend):
+    # the plain-number layout written by bench/frontier.py
+    s = tmp_path / "cloud.samples.json"
+    s.write_text(json.dumps({"points": [[0.5, -1.25], [1.0, 0.0], [-0.75, 2.0]]}))
+    code, out, _ = run(capsys, "verify", "--samples", str(s), "--N", "1",
+                       "--backend", backend)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def _seeded_atoms(seed=3, count=6):
+    rng = random.Random(seed)
+    return [[[str(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(2)],
+             str(rng.randint(1, 4))] for _ in range(count)]
+
+
+# sha256 of the decompose Jacobi file and of the verify stdout, recorded from
+# the Polynomial-based pipeline that preceded the moment-matrix one
+GOLDEN = [
+    (["--measure", "circle_uniform", "--d", "2", "--N", "4"],
+     "0155285621a91e407d85be18024f7a41f8c268640bc9865f7dd2718d660512b0",
+     "12f54489e8b2093bfa1a6c83d567066bc9506b7a35a6359921d254ef9eb9123b"),
+    (["--measure", "exponential_product", "--d", "1", "--N", "6"],
+     "decef44c6751b3f06433da184158dfaaadb56b9c306e2c5a964a978bc93cc116",
+     "3ab431bc249493d1f78e1b70180326d8d87fc2aa5a4ce4def45a2897ecf98d15"),
+    (["--measure", "atoms", "--d", "2", "--atoms", json.dumps(_seeded_atoms()), "--N", "3"],
+     "1ab766f7d5710c0f02f5abfdf0ea22a9fa1846469be8725a169f1268860a83fd",
+     "cc54b2b66bb2220b630c312264c1732187a4e470eedebf93dfb3a6c0f3d697cd"),
+]
+
+
+@pytest.mark.parametrize("args,jacobi_sha,verify_sha", GOLDEN)
+def test_exact_output_bytes_are_pinned(tmp_path, capsys, args, jacobi_sha, verify_sha):
+    j = tmp_path / "pinned.jacobi.json"
+    code, _, _ = run(capsys, "decompose", *args, "--out", str(j))
+    assert code == 0
+    assert hashlib.sha256(j.read_bytes()).hexdigest() == jacobi_sha
+    code, out, _ = run(capsys, "verify", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == verify_sha
 
 
 def test_float_backend_flow(tmp_path, capsys):

@@ -11,6 +11,7 @@ from favard.gradation import (
     project_onto_level,
     termination_level,
 )
+from favard.mindex import enumerate_level
 from favard.moments import MomentFunctional, apply, from_catalog, gram
 from favard.poly import Polynomial, graded_component, monomial
 
@@ -194,3 +195,42 @@ def test_signed_functional_rejected():
     phi = MomentFunctional(1, 4, vals)
     with pytest.raises(PositivityError):
         build_gradation(phi, 2)
+
+
+# ------------------------------------------------------- block LDL^T of H
+
+@pytest.mark.parametrize("name,d,N,atoms", [
+    ("circle_uniform", 2, 5, None),
+    ("gaussian_product", 2, 4, None),
+    ("exponential_product", 1, 6, None),
+    ("atoms", 2, 3, [((0, 0), 1), ((1, 0), 2), ((0, 1), 1), ((1, 1), Fraction(1, 2))]),
+])
+def test_level_rows_are_a_block_ldlt_of_the_moment_matrix(name, d, N, atoms):
+    phi = from_catalog(name, d, 2 * N, atoms=atoms)
+    gb = build_gradation(phi, N)
+    monos = [m for k in range(N + 1) for m in enumerate_level(d, k)]
+    h = [[phi.values[tuple(x + y for x, y in zip(a, b))] for b in monos] for a in monos]
+    rows = []
+    for n in range(N + 1):
+        lvl = gb.level(n)
+        for row, m in zip(lvl.coeffs, lvl.indices):
+            padded = list(row) + [0] * (len(monos) - len(row))
+            # monic on level n, and nothing above degree n
+            for col, mono in enumerate(monos):
+                if sum(mono) == n:
+                    assert padded[col] == (1 if mono == m else 0)
+                elif sum(mono) > n:
+                    assert padded[col] == 0
+            rows.append(padded)
+    hp = [[sum(h[a][b] * q[b] for b in range(len(monos))) for a in range(len(monos))]
+          for q in rows]
+    form = [[sum(p[a] * hq[a] for a in range(len(monos))) for hq in hp] for p in rows]
+    diag = [[0] * len(rows) for _ in rows]
+    offset = 0
+    for n in range(N + 1):
+        g = gb.level(n).gram
+        for i, grow in enumerate(g):
+            for k, x in enumerate(grow):
+                diag[offset + i][offset + k] = x
+        offset += len(g)
+    assert form == diag
