@@ -8,13 +8,19 @@ blocks, written in the monic level bases, are
     Azero[j][n]  : d_n     x d_n   level n -> n
     Aminus[j][n] : d_{n-1} x d_n   level n -> n-1
 
-Each block solves G_target X = P_target L_j P_source^T, where P_n holds the
-level-n basis as coefficient rows (module gradation) and L_j = [phi(x_j x^a
-x^b)] is the localizing matrix of x_j.  Each column is the minimum-norm
-solution, so on degenerate levels the representative supported on the
-kernel complement is chosen; identities involving adjoints therefore hold
-in the G-weighted sense, never entrywise.  Aminus[j][0] is the empty
-matrix (the vacuum has no level below).
+Each block solves G_target X = B for the pairing B of the target level
+with x_j times the source level.  Creation needs no moments beyond the
+Grams: x_j p_{n,m} = p_{n+1,m+e_j} + (degree <= n), and level n+1 is
+orthogonal to every lower degree, so B = G_{n+1} S_{j,n} with S_{j,n} the
+0/1 index shift m -> m + e_j (mindex.creation_shift).  Annihilation pairs
+with the transpose of that, one level down.  Only preservation pairs with
+the localizing matrix L_j = [phi(x_j x^a x^b)]: B = P_n L_j P_n^T, where
+P_n holds the level-n basis as coefficient rows (module gradation).  Each
+column is the minimum-norm solution, so on degenerate levels the
+representative supported on the kernel complement is chosen (Aplus is S
+followed by the projector onto range G_{n+1}); identities involving
+adjoints therefore hold in the G-weighted sense, never entrywise.
+Aminus[j][0] is the empty matrix (the vacuum has no level below).
 
 Preservation blocks need moments one degree beyond the Gram data (degree
 2n+1 at level n), so the top level N carries Azero only when the moment
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import MomentDegreeError
 from .gradation import GradedBasis
-from .mindex import enumerate_upto
+from .mindex import creation_shift, enumerate_upto
 from .reports import Report
 
 __all__ = [
@@ -87,9 +93,9 @@ def extract_cap(gb: GradedBasis) -> CapOperators:
         aplus[j], azero[j] = [], []
         aminus[j] = [[]]  # Aminus[j][0] is the empty matrix: no level below the vacuum
         for n in range(N):
-            # L_j is symmetric, so the transpose of <p_{n+1}, x_j p_n> is
+            # <p_{n+1}, x_j p_n> = G_{n+1} S_{j,n}; its transpose is
             # <p_n, x_j p_{n+1}>, the annihilation pairing one level up
-            up = gb.pairing(rows[n + 1], rows[n], shift)
+            up = linalg.mat_mul(grams[n + 1], creation_shift(gb.d, n, j))
             aplus[j].append(_solve(grams[n + 1], up, backend, tol))
             aminus[j].append(_solve(grams[n], linalg.transpose(up), backend, tol))
         for n in range(alpha_levels + 1):

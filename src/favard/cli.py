@@ -198,9 +198,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         f"level ranks: {ma.ranks} (termination: {ma.termination})",
         f"wrote {cfg.out}",
     ] + [r.summary() for r in ma.reports.values() if not r.ok]
-    sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    for line in summary:
-        print(line, file=sys.stderr)
+    _emit(cfg, payload, summary)
     return EXIT_OK if ma.ok else EXIT_CHECK_FAILED
 
 

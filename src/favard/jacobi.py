@@ -2,12 +2,16 @@
 
 The n-th symmetric tensor power of R^d is identified with gradation level n
 through the map U_n sending the occupation basis vector of m to the image
-of the vacuum under the corresponding word of creation operators.  Pulling
-the polynomial pre-scalar product back through U_n gives the level metric
+of the vacuum under the creation word of m.  In the monic level basis
+creation is the index shift m -> m + e_j followed by the projector onto
+range G_{n+1} (module cap), and kernel compatibility makes U_n the
+projector onto range G_n.  Pulling the polynomial pre-scalar product and
+the preservation block back through U_n therefore returns the gradation's
+own data:
 
-    Gomega_n[m, m'] = <U_n e_m, U_n e_m'>_phi,
+    Gomega_n = U_n^T G_n U_n = G_n,      alpha_{j,n} = Azero[j][n],
 
-and conjugating the preservation block gives alpha_{j,n}.  The pair
+the second because Azero[j][n] vanishes on ker G_n.  The pair
 (Gomega, alpha) is the complete reconstruction datum: together with the
 combinatorial index-shift creators it rebuilds every moment (module fock).
 
@@ -22,7 +26,9 @@ Admissibility (the Favard conditions) of a Jacobi sequence:
         coordinate shift lands in the kernel of Gomega_{n+1},
   (iii) alpha symmetry: Gomega_n alpha_{j,n} = alpha_{j,n}^T Gomega_n,
   (iv)  when the sequence was extracted from a gradation, U-unitarity:
-        Gomega_n = Umat_n^T G_n Umat_n.
+        Umat_n^T Gomega_n Umat_n = Gomega_n, with Umat_n built from the
+        extracted creation blocks, so the creators realise the
+        identification with the tensor levels.
 
 Every functional-derived sequence passes all four; a hand-built sequence
 may fail (ii), in which case no Fock reconstruction exists.
@@ -61,8 +67,8 @@ class JacobiSequence:
     alpha[j][n] the preservation matrix of coordinate j at level n.  The
     alpha lists may stop one level short of N when the source moment budget
     ended at degree 2N (the level-N preservation block needs degree 2N+1).
-    umat and grams are carried only by sequences extracted in-process; they
-    do not survive serialization.
+    umat is carried only by sequences extracted in-process; it does not
+    survive serialization.
     """
 
     d: int
@@ -71,7 +77,6 @@ class JacobiSequence:
     gomega: list
     alpha: dict
     umat: list = None
-    grams: list = None
     tol: float = linalg.DEFAULT_TOL
 
     @property
@@ -95,70 +100,37 @@ def omega_matrix(js: JacobiSequence, n: int):
 
 
 def build_U(cap: CapOperators, n: int):
-    """Matrix of U_n: column for e_m is the creation word of m applied to 1.
+    """Matrix of U_n: column for e_m is the ascending creation word of m applied to 1.
 
-    Any word with occupation m gives the same column because creators
-    commute; the canonical ascending word is used and checked against the
-    reversed word.
+    Creators commute, so any word with occupation m gives the same column;
+    verify_commutators checks that in G-seminorm.
     """
     if n > cap.N:
         raise ValueError(f"U_{n} needs creation data to level {n}, have {cap.N}")
     cols = []
     for m in enumerate_level(cap.d, n):
-        word = []
-        for j, k in enumerate(m, start=1):
-            word.extend([j] * k)
-        vec = _apply_word(cap, word)
-        check = _apply_word(cap, list(reversed(word)))
-        dev = max((abs(x - y) for x, y in zip(vec, check)), default=0)
-        if not linalg.within(dev, cap.backend, cap.tol):
-            raise AssertionError(
-                f"creation word order changed U_{n} column for {m} by {dev}"
-            )
+        vec = [Fraction(1) if cap.backend == "exact" else 1.0]
+        word = [j for j, k in enumerate(m, start=1) for _ in range(k)]
+        for step, j in enumerate(word):
+            vec = linalg.mat_vec(cap.aplus[j][step], vec)
         cols.append(vec)
     return linalg.transpose(cols)
 
 
-def _apply_word(cap, word):
-    one = Fraction(1) if cap.backend == "exact" else 1.0
-    vec = [one]
-    for step, j in enumerate(word):
-        vec = linalg.mat_vec(cap.aplus[j][step], vec)
-    return vec
-
-
 def extract_jacobi(gb: GradedBasis, cap: CapOperators) -> JacobiSequence:
-    """Transport Gram matrices and preservation blocks through U_n.
+    """Read the Favard data off the gradation: Gomega_n = G_n, alpha_{j,n} = Azero[j][n].
 
-    Gomega_n = Umat_n^T G_n Umat_n.  alpha_{j,n} solves
-    Umat_n X = Azero[j][n] Umat_n in the minimum-norm sense; when Umat_n is
-    singular (degenerate level) this extends alpha by zero on ker Gomega_n.
+    Umat_n rides along for the U-unitarity check of verify_favard_conditions.
     """
     if gb.N != cap.N or gb.d != cap.d:
         raise ValueError("gradation and cap operators disagree on d or N")
-    umats = [build_U(cap, n) for n in range(cap.N + 1)]
-    gomega = []
-    for n, u in enumerate(umats):
-        g = gb.level(n).gram
-        gomega.append(linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), g), u))
-    alpha = {}
-    for j in range(1, cap.d + 1):
-        mats = []
-        for n in range(cap.alpha_levels + 1):
-            u = umats[n]
-            rhs = linalg.mat_mul(cap.azero[j][n], u)
-            rhs_cols = linalg.transpose(rhs) if rhs else []
-            sols = linalg.solve_min_norm(u, rhs_cols, cap.backend, cap.tol)
-            mats.append(linalg.transpose(sols) if sols else [])
-        alpha[j] = mats
     return JacobiSequence(
         d=cap.d,
         N=cap.N,
         backend=cap.backend,
-        gomega=gomega,
-        alpha=alpha,
-        umat=umats,
-        grams=[lvl.gram for lvl in gb.levels],
+        gomega=[lvl.gram for lvl in gb.levels],
+        alpha={j: list(mats) for j, mats in cap.azero.items()},
+        umat=[build_U(cap, n) for n in range(cap.N + 1)],
         tol=cap.tol,
     )
 
@@ -166,8 +138,8 @@ def extract_jacobi(gb: GradedBasis, cap: CapOperators) -> JacobiSequence:
 def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
     """Pass/fail per Favard condition per level.
 
-    The structural U-unitarity check runs only for sequences extracted
-    in-process (file-loaded sequences carry no Umat or polynomial Grams).
+    The U-unitarity check runs only for sequences extracted in-process
+    (file-loaded sequences carry no Umat).
     """
     tol = js.tol if tol is None else tol
     exact = js.backend == "exact"
@@ -224,10 +196,9 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
                 linalg.within(dev, js.backend, tol),
                 deviation=dev,
             )
-    if js.umat is not None and js.grams is not None:
-        for n in range(js.N + 1):
-            u = js.umat[n]
-            back = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), js.grams[n]), u)
+    if js.umat is not None:
+        for n, u in enumerate(js.umat):
+            back = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), js.gomega[n]), u)
             dev = linalg.mat_max_diff(back, js.gomega[n])
             report.add(
                 f"U-unitarity level {n}",

@@ -145,6 +145,24 @@ def test_repaired_jacobi_file_reconstructs(tmp_path, capsys):
     assert vals[(0,)] == 1 and vals[(2,)] == 0
 
 
+def test_float_adjointness_failure_is_exit_one(capsys):
+    # the round trip rebuilds the Fock space from the extracted data; its
+    # float U-unitarity deviation is a failed check in the report, and
+    # build_fock must not refuse the data for it as bad input (exit 2)
+    code, out, err = run(capsys, "verify", "--backend", "float", "--measure",
+                         "gaussian_product", "--d", "1", "--N", "10")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    assert "verification failed: adjointness" in err
+
+
+def test_float_uniform_box_n11_returns_an_exit_code(capsys):
+    code, out, _ = run(capsys, "verify", "--backend", "float", "--measure",
+                       "uniform_box", "--d", "2", "--N", "11")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_bad_moment_file_is_exit_two(tmp_path, capsys):
     f = tmp_path / "bad.moments.json"
     f.write_text(json.dumps({

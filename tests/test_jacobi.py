@@ -21,8 +21,8 @@ from favard.jacobi import (
     save_jacobi_file,
     verify_favard_conditions,
 )
-from favard.linalg import identity, mat_vec
-from favard.mindex import enumerate_level, tensor_metric
+from favard.linalg import identity, mat_mul, mat_vec, solve_min_norm, transpose
+from favard.mindex import creation_shift, enumerate_level, tensor_metric
 from favard.moments import from_catalog
 
 from oracles import brute_gram_schmidt_1d
@@ -70,6 +70,44 @@ def test_creation_words_are_order_independent():
                 vec = mat_vec(cap.aplus[j][pos], vec)
             results.add(tuple(vec))
         assert len(results) == 1
+
+
+# ------------------------------------- Favard data read off the gradation
+
+_GRADATION_CASES = [
+    ("gaussian_product", 2, 4, None),
+    ("circle_uniform", 2, 5, None),
+    ("rademacher_product", 2, 4, None),
+    ("atoms", 2, 3, [((0, 0), 1), ((1, 0), 2), ((0, 1), 1), ((1, 1), Fraction(1, 2))]),
+]
+
+
+@pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
+def test_creation_pairing_is_the_gram_times_the_index_shift(name, d, N, atoms):
+    # <p_{n+1}, x_j p_n> through the localizing matrix of x_j, exactly
+    phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
+    if name == "atoms":
+        assert [lvl.rank for lvl in gb.levels] == [1, 2, 1, 0]
+    for j in range(1, d + 1):
+        e_j = tuple(int(i == j) for i in range(1, d + 1))
+        for n in range(N):
+            pairing = gb.pairing(gb.level(n + 1).coeffs, gb.level(n).coeffs, e_j)
+            assert pairing == mat_mul(gb.level(n + 1).gram, creation_shift(d, n, j))
+
+
+@pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
+def test_transport_through_U_returns_the_gradation_data(name, d, N, atoms):
+    # Gomega_n = U^T G_n U and alpha = the min-norm solution of U X = Azero U
+    phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
+    umats = [build_U(cap, n) for n in range(N + 1)]
+    for n, u in enumerate(umats):
+        g = gb.level(n).gram
+        assert mat_mul(mat_mul(transpose(u), g), u) == g == js.gomega[n]
+    for j in range(1, d + 1):
+        assert len(js.alpha[j]) == cap.alpha_levels + 1 == N + 1
+        for n, a0 in enumerate(cap.azero[j]):
+            rhs = transpose(mat_mul(a0, umats[n]))
+            assert transpose(solve_min_norm(umats[n], rhs, "exact")) == a0 == js.alpha[j][n]
 
 
 # ----------------------------------------------------------- extraction
