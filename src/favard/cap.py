@@ -12,11 +12,14 @@ Each block solves G_target X = B for the pairing B of the target level
 with x_j times the source level.  Creation needs no moments beyond the
 Grams: x_j p_{n,m} = p_{n+1,m+e_j} + (degree <= n), and level n+1 is
 orthogonal to every lower degree, so B = G_{n+1} S_{j,n} with S_{j,n} the
-0/1 index shift m -> m + e_j (mindex.creation_shift).  Annihilation pairs
-with the transpose of that, one level down.  Only preservation pairs with
-the localizing matrix L_j = [phi(x_j x^a x^b)]: B = P_n L_j P_n^T, where
-P_n holds the level-n basis as coefficient rows (module gradation).  Each
-column is the minimum-norm solution, so on degenerate levels the
+0/1 index shift m -> m + e_j (mindex.creation_shift).  Annihilation is
+the G-weighted adjoint of the index shift, G_{n-1} X = S_{j,n-1}^T G_n;
+annihilator solves that system for the forward direction here and for
+the Fock reconstruction alike (module fock), and it is consistent exactly
+when kernel vectors of G_{n-1} lift into ker G_n.  Only preservation pairs
+with the localizing matrix L_j = [phi(x_j x^a x^b)]: B = P_n L_j P_n^T,
+where P_n holds the level-n basis as coefficient rows (module gradation).
+Each column is the minimum-norm solution, so on degenerate levels the
 representative supported on the kernel complement is chosen (Aplus is S
 followed by the projector onto range G_{n+1}); identities involving
 adjoints therefore hold in the G-weighted sense, never entrywise.
@@ -30,7 +33,7 @@ budget reaches 2N+1; alpha_levels records how far they go.
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import MomentDegreeError
+from .errors import AdjointInconsistencyError, InconsistentSystemError, MomentDegreeError
 from .gradation import GradedBasis
 from .mindex import creation_shift, enumerate_upto
 from .reports import Report
@@ -38,6 +41,7 @@ from .reports import Report
 __all__ = [
     "CapOperators",
     "extract_cap",
+    "annihilator",
     "verify_jacobi_relation",
     "verify_adjointness",
     "verify_commutators",
@@ -69,6 +73,26 @@ def _solve(gram_matrix, pairing, backend, tol):
     return linalg.transpose(sols)
 
 
+def annihilator(gomega, d, j, n, backend, tol):
+    """Aminus[j][n]: the min-norm X with Gomega_{n-1} X = S_{j,n-1}^T Gomega_n.
+
+    gomega lists the level metrics.  The system is the adjoint of the index
+    shift S_{j,n-1} in the Gomega-weighted pairing; it is inconsistent, and
+    AdjointInconsistencyError is raised, when a kernel vector of
+    Gomega_{n-1} does not lift into ker Gomega_n.
+    """
+    rhs = linalg.mat_mul(linalg.transpose(creation_shift(d, n - 1, j)), gomega[n])
+    try:
+        sols = linalg.solve_min_norm(gomega[n - 1], linalg.transpose(rhs), backend, tol)
+    except InconsistentSystemError as exc:
+        raise AdjointInconsistencyError(
+            f"creation operator for coordinate {j} has no adjoint at level {n}: "
+            f"a kernel vector of Gomega_{n - 1} does not lift into ker Gomega_{n} "
+            f"({exc})"
+        ) from exc
+    return linalg.transpose(sols)
+
+
 def extract_cap(gb: GradedBasis) -> CapOperators:
     """Extract all CAP matrices from a built gradation.
 
@@ -93,11 +117,10 @@ def extract_cap(gb: GradedBasis) -> CapOperators:
         aplus[j], azero[j] = [], []
         aminus[j] = [[]]  # Aminus[j][0] is the empty matrix: no level below the vacuum
         for n in range(N):
-            # <p_{n+1}, x_j p_n> = G_{n+1} S_{j,n}; its transpose is
-            # <p_n, x_j p_{n+1}>, the annihilation pairing one level up
+            # <p_{n+1}, x_j p_n> = G_{n+1} S_{j,n}
             up = linalg.mat_mul(grams[n + 1], creation_shift(gb.d, n, j))
             aplus[j].append(_solve(grams[n + 1], up, backend, tol))
-            aminus[j].append(_solve(grams[n], linalg.transpose(up), backend, tol))
+            aminus[j].append(annihilator(grams, gb.d, j, n + 1, backend, tol))
         for n in range(alpha_levels + 1):
             azero[j].append(_solve(grams[n], gb.pairing(rows[n], rows[n], shift), backend, tol))
     return CapOperators(
@@ -113,7 +136,7 @@ def extract_cap(gb: GradedBasis) -> CapOperators:
     )
 
 
-def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis, tol=None):
+def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis):
     """Check that X_j p_{n,m} equals its three-block image up to zero seminorm.
 
     The residual r = X_j p - (its images in levels n+1, n, n-1) is formed
@@ -122,7 +145,6 @@ def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis, tol=None):
     in degenerate cases.  Expanding the form into differences of pairings
     instead would cancel in floats.
     """
-    tol = cap.tol if tol is None else tol
     report = Report(name="three-term relation")
     monos = enumerate_upto(cap.d, cap.N)
     pos = {m: i for i, m in enumerate(monos)}
@@ -143,19 +165,18 @@ def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis, tol=None):
             worst = max([0] + [abs(form[i][i]) for i in range(len(res))])
             report.add(
                 f"residual seminorm j={j} level {n}",
-                linalg.within(worst, cap.backend, tol),
+                linalg.within(worst, cap.backend, cap.tol),
                 deviation=worst,
             )
     return report
 
 
-def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
+def verify_adjointness(cap: CapOperators, gb: GradedBasis):
     """G-weighted adjoint identities between the blocks.
 
     Creation against annihilation: G_{n+1} A+_{j,n} = (A-_{j,n+1})^T G_n.
     Preservation self-adjointness:  G_n A0_{j,n} = (A0_{j,n})^T G_n.
     """
-    tol = cap.tol if tol is None else tol
     report = Report(name="adjointness")
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
@@ -164,7 +185,7 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
             dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"creation-annihilation adjoint j={j} level {n}",
-                linalg.within(dev, cap.backend, tol),
+                linalg.within(dev, cap.backend, cap.tol),
                 deviation=dev,
             )
         for n in range(cap.alpha_levels + 1):
@@ -174,7 +195,7 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis, tol=None):
             dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"preservation self-adjoint j={j} level {n}",
-                linalg.within(dev, cap.backend, tol),
+                linalg.within(dev, cap.backend, cap.tol),
                 deviation=dev,
             )
     return report
@@ -196,7 +217,7 @@ def _madd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def verify_commutators(cap: CapOperators, tol=None):
+def verify_commutators(cap: CapOperators):
     """Commutation relations between the blocks, in G-seminorm.
 
     Checked per coordinate pair j<k on every level where all factors exist:
@@ -205,7 +226,6 @@ def verify_commutators(cap: CapOperators, tol=None):
     preservation plus annihilation-creation) vanishes.  On degenerate
     levels only the G-weighted norm of the difference is claimed.
     """
-    tol = cap.tol if tol is None else tol
     report = Report(name="commutators")
     mm = linalg.mat_mul
     for j in range(1, cap.d + 1):
@@ -218,7 +238,7 @@ def verify_commutators(cap: CapOperators, tol=None):
                 dev = _seminorm_dev(cap.grams[n + 2], diff)
                 report.add(
                     f"creators commute j={j},k={k} level {n}",
-                    linalg.within(dev, cap.backend, tol),
+                    linalg.within(dev, cap.backend, cap.tol),
                     deviation=dev,
                 )
             for n in range(min(cap.N - 1, cap.alpha_levels)):
@@ -236,7 +256,7 @@ def verify_commutators(cap: CapOperators, tol=None):
                 dev = _seminorm_dev(cap.grams[n + 1], diff)
                 report.add(
                     f"creation-preservation commutator j={j},k={k} level {n}",
-                    linalg.within(dev, cap.backend, tol),
+                    linalg.within(dev, cap.backend, cap.tol),
                     deviation=dev,
                 )
             for n in range(min(cap.N, cap.alpha_levels + 1)):
@@ -258,7 +278,7 @@ def verify_commutators(cap: CapOperators, tol=None):
                 dev = _seminorm_dev(cap.grams[n], total)
                 report.add(
                     f"mixed commutator j={j},k={k} level {n}",
-                    linalg.within(dev, cap.backend, tol),
+                    linalg.within(dev, cap.backend, cap.tol),
                     deviation=dev,
                 )
     return report

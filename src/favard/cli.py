@@ -9,13 +9,12 @@ failed, 2 bad input or usage.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from ._util import atomic_write_text, parse_float
-from .errors import FavardError, FileFormatError
-from .fock import build_fock, vacuum_moments
+from .errors import AdjointInconsistencyError, FavardError, FileFormatError
+from .fock import _assemble_fock, build_fock, roundtrip_report, vacuum_moments
 from .jacobi import analyze, jacobi_file_text, load_jacobi_file, verify_favard_conditions
 from .moments import (
     CATALOG_MEASURES,
@@ -26,32 +25,11 @@ from .moments import (
     moment_file_text,
 )
 
-__all__ = ["RunConfig", "main", "cmd_decompose", "cmd_reconstruct", "cmd_verify", "cmd_roundtrip"]
+__all__ = ["main", "cmd_decompose", "cmd_reconstruct", "cmd_verify", "cmd_roundtrip"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    measure: str = None
-    atoms: str = None
-    moments: str = None
-    samples: str = None
-    jacobi: str = None
-    d: int = None
-    N: int = None
-    backend: str = "exact"
-    tol: float = linalg.DEFAULT_TOL
-    out: str = None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.N is not None and self.N < 0:
-            raise ValueError("N must be >= 0")
 
 
 def _parser():
@@ -91,22 +69,6 @@ def _parser():
     return p
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        measure=getattr(args, "measure", None),
-        atoms=getattr(args, "atoms", None),
-        moments=getattr(args, "moments", None),
-        samples=getattr(args, "samples", None),
-        jacobi=getattr(args, "jacobi", None),
-        d=getattr(args, "d", None),
-        N=getattr(args, "N", None),
-        backend=getattr(args, "backend", "exact"),
-        tol=getattr(args, "tol", linalg.DEFAULT_TOL),
-        out=getattr(args, "out", None),
-    )
-
-
 def _parse_atom_scalar(v):
     if isinstance(v, str):
         return Fraction(v)
@@ -135,78 +97,79 @@ def _load_samples_file(path, max_degree, backend):
     return from_samples(points, max_degree, weights=weights, backend=backend)
 
 
-def _functional_from_config(cfg: RunConfig, max_degree: int) -> MomentFunctional:
-    chosen = [x for x in (cfg.measure, cfg.moments, cfg.samples) if x]
+def _functional(args) -> MomentFunctional:
+    """The moment functional the input flags name, with moments to degree 2N+1 or 2N.
+
+    Catalog sources can always supply the one extra degree the top-level
+    preservation block needs; file sources use whatever they have.
+    """
+    max_degree = 2 * args.N + 1 if args.measure else 2 * args.N
+    chosen = [x for x in (args.measure, args.moments, args.samples) if x]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --measure, --moments, --samples")
-    if cfg.measure:
-        if cfg.d is None:
+    if args.measure:
+        if args.d is None:
             raise ValueError("--measure needs --d")
         atoms = None
-        if cfg.measure == "atoms":
-            if not cfg.atoms:
+        if args.measure == "atoms":
+            if not args.atoms:
                 raise ValueError("--measure atoms needs --atoms")
-            parsed = json.loads(cfg.atoms)
+            parsed = json.loads(args.atoms)
             atoms = [
                 ([_parse_atom_scalar(x) for x in point], _parse_atom_scalar(weight))
                 for point, weight in parsed
             ]
         return from_catalog(
-            cfg.measure, cfg.d, max_degree, atoms=atoms, backend=cfg.backend
+            args.measure, args.d, max_degree, atoms=atoms, backend=args.backend
         )
-    if cfg.moments:
-        phi = from_file(cfg.moments)
-        if cfg.d is not None and phi.d != cfg.d:
-            raise ValueError(f"--d {cfg.d} does not match the file dimension {phi.d}")
-        if cfg.backend != phi.backend:
+    if args.moments:
+        phi = from_file(args.moments)
+        if args.d is not None and phi.d != args.d:
+            raise ValueError(f"--d {args.d} does not match the file dimension {phi.d}")
+        if args.backend != phi.backend:
             raise ValueError(
-                f"--backend {cfg.backend} does not match the file scalar family"
+                f"--backend {args.backend} does not match the file scalar family"
             )
         return phi
-    return _load_samples_file(cfg.samples, max_degree, cfg.backend)
+    return _load_samples_file(args.samples, max_degree, args.backend)
 
 
-def _emit(cfg, payload, summary_lines):
+def _emit(args, payload, summary_lines):
     text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if cfg.out and cfg.command in ("verify", "roundtrip"):
-        atomic_write_text(cfg.out, text)
+    if args.out and args.command in ("verify", "roundtrip"):
+        atomic_write_text(args.out, text)
     for line in summary_lines:
         print(line, file=sys.stderr)
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    # catalog sources can always supply the one extra degree the top-level
-    # preservation block needs; file sources use whatever they have
-    if cfg.measure:
-        phi = _functional_from_config(cfg, 2 * cfg.N + 1)
-    else:
-        phi = _functional_from_config(cfg, 2 * cfg.N)
-        if phi.max_degree < 2 * cfg.N:
-            raise ValueError(
-                f"decomposition to level {cfg.N} needs moments to degree {2 * cfg.N}, "
-                f"file provides {phi.max_degree}"
-            )
-    if cfg.out is None:
+def cmd_decompose(args) -> int:
+    phi = _functional(args)
+    if phi.max_degree < 2 * args.N:
+        raise ValueError(
+            f"decomposition to level {args.N} needs moments to degree {2 * args.N}, "
+            f"file provides {phi.max_degree}"
+        )
+    if args.out is None:
         raise ValueError("decompose needs --out for the Jacobi file")
-    ma = analyze(phi, cfg.N, cfg.tol, with_roundtrip=False)
-    atomic_write_text(cfg.out, jacobi_file_text(ma.jacobi))
+    ma = analyze(phi, args.N, args.tol, with_roundtrip=False)
+    atomic_write_text(args.out, jacobi_file_text(ma.jacobi))
     payload = ma.to_dict()
-    payload["jacobi_file"] = cfg.out
+    payload["jacobi_file"] = args.out
     summary = [
         f"decomposed {ma.source} to level {ma.N} [{ma.backend}]",
         f"level ranks: {ma.ranks} (termination: {ma.termination})",
-        f"wrote {cfg.out}",
+        f"wrote {args.out}",
     ] + [r.summary() for r in ma.reports.values() if not r.ok]
-    _emit(cfg, payload, summary)
+    _emit(args, payload, summary)
     return EXIT_OK if ma.ok else EXIT_CHECK_FAILED
 
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
-    js = load_jacobi_file(cfg.jacobi)
-    if cfg.out is None:
+def cmd_reconstruct(args) -> int:
+    js = load_jacobi_file(args.jacobi)
+    if args.out is None:
         raise ValueError("reconstruct needs --out for the moment file")
-    fock, ops = build_fock(js, cfg.tol)
+    fock, ops = build_fock(js, args.tol)
     top = js.max_word_length()
     values = vacuum_moments(fock, ops, top)
     try:
@@ -215,49 +178,49 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             max_degree=top,
             values=values,
             backend=js.backend,
-            source=f"reconstructed:{cfg.jacobi}",
+            source=f"reconstructed:{args.jacobi}",
         )
     except ValueError as exc:
         raise FavardError(f"reconstructed moments do not form a state: {exc}") from exc
-    atomic_write_text(cfg.out, moment_file_text(phi))
+    atomic_write_text(args.out, moment_file_text(phi))
     payload = {
-        "source": cfg.jacobi,
+        "source": args.jacobi,
         "d": js.d,
         "N": js.N,
         "max_degree": top,
         "backend": js.backend,
-        "moment_file": cfg.out,
+        "moment_file": args.out,
     }
-    _emit(cfg, payload, [f"reconstructed moments to degree {top}; wrote {cfg.out}"])
+    _emit(args, payload, [f"reconstructed moments to degree {top}; wrote {args.out}"])
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.jacobi:
-        js = load_jacobi_file(cfg.jacobi)
-        report = verify_favard_conditions(js, cfg.tol)
+def cmd_verify(args) -> int:
+    if args.jacobi:
+        js = load_jacobi_file(args.jacobi)
+        report = verify_favard_conditions(js, args.tol)
         adjoint_note = None
         if report.ok:
             try:
-                build_fock(js, cfg.tol)
-            except FavardError as exc:
+                _assemble_fock(js, args.tol)
+            except AdjointInconsistencyError as exc:
                 adjoint_note = str(exc)
         payload = report.to_dict()
         if adjoint_note:
             payload["ok"] = False
             payload["adjoint_error"] = adjoint_note
-        _emit(cfg, payload, [report.summary()])
+        _emit(args, payload, [report.summary()])
         if not payload["ok"]:
             bad = report.first_failure()
             name = bad.label if bad else adjoint_note
             print(f"verification failed: {name}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         return EXIT_OK
-    if cfg.N is None:
+    if args.N is None:
         raise ValueError("verify needs --N with a measure input")
-    phi = _functional_from_config(cfg, 2 * cfg.N + 1 if cfg.measure else 2 * cfg.N)
-    ma = analyze(phi, cfg.N, cfg.tol, with_roundtrip=True)
-    _emit(cfg, ma.to_dict(), [r.summary() for r in ma.reports.values()])
+    phi = _functional(args)
+    ma = analyze(phi, args.N, args.tol, with_roundtrip=True)
+    _emit(args, ma.to_dict(), [r.summary() for r in ma.reports.values()])
     if not ma.ok:
         for r in ma.reports.values():
             bad = r.first_failure()
@@ -267,12 +230,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    from .fock import roundtrip_report
-
-    phi = _functional_from_config(cfg, 2 * cfg.N + 1 if cfg.measure else 2 * cfg.N)
-    report = roundtrip_report(phi, cfg.N, cfg.tol)
-    _emit(cfg, report.to_dict(), [report.summary()])
+def cmd_roundtrip(args) -> int:
+    phi = _functional(args)
+    report = roundtrip_report(phi, args.N, args.tol)
+    _emit(args, report.to_dict(), [report.summary()])
     if not report.ok:
         bad = report.first_failure()
         print(f"roundtrip failed: {bad.label}", file=sys.stderr)
@@ -291,12 +252,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return _COMMANDS[cfg.command](cfg)
-    except FavardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        if args.tol <= 0:
+            raise ValueError("tol must be positive")
+        if getattr(args, "N", None) is not None and args.N < 0:
+            raise ValueError("N must be >= 0")
+        return _COMMANDS[args.command](args)
+    except (FavardError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

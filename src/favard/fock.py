@@ -7,13 +7,16 @@ coordinate j:
     creation      Aplus[j][n]  : the combinatorial index shift m -> m + e_j
     preservation  alpha[j][n]  : copied from the Jacobi data
     annihilation  Aminus[j][n] : the Gomega-weighted adjoint of creation,
-        solved from  Gomega_{n-1} Aminus[j][n] = Aplus[j][n-1]^T Gomega_n,
-        minimum-norm column by column, with Aminus[j][0] = 0 on the vacuum.
+        cap.annihilator, the same solve the forward direction uses:
+        Gomega_{n-1} Aminus[j][n] = Aplus[j][n-1]^T Gomega_n, minimum-norm
+        column by column, with Aminus[j][0] = 0 on the vacuum.
 
 The adjoint system is consistent exactly when kernel vectors of Gomega_n
 lift into kernels one level up (the compatibility Favard condition); a
 violating sequence is rejected with AdjointInconsistencyError because the
-creator then has no adjoint.
+creator then has no adjoint.  build_fock is the admissibility gate in front
+of the construction; callers that already hold a favard-conditions report
+for the sequence (analyze, verify of a Jacobi file) build without it.
 
 The coordinate field operator X_j = Aplus_j + alpha_j + Aminus_j applied to
 the vacuum reproduces the source moments: vacuum expectations of words in
@@ -25,18 +28,15 @@ vacuum_moments, behind reconstruct and the round trip, shares word suffixes
 in one walk: one field step per monomial.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    AdjointInconsistencyError,
-    FavardConditionError,
-    InconsistentSystemError,
-    WordLengthError,
-)
-from .jacobi import JacobiSequence, verify_favard_conditions
-from .mindex import creation_shift
+from .cap import annihilator, extract_cap
+from .errors import FavardConditionError, WordLengthError
+from .gradation import build_gradation
+from .jacobi import JacobiSequence, extract_jacobi, verify_favard_conditions
+from .mindex import creation_shift, enumerate_level
 from .reports import Report
 
 __all__ = [
@@ -77,48 +77,33 @@ def build_fock(js: JacobiSequence, tol=None):
 
     Refuses inadmissible data: non-PSD or asymmetric metrics and asymmetric
     alphas raise FavardConditionError; a compatibility violation surfaces
-    as AdjointInconsistencyError from the annihilator solve.  U-unitarity
-    is a property of the extraction, not of the data, and is not checked.
+    as AdjointInconsistencyError from the annihilator solve.
     """
     tol = js.tol if tol is None else tol
-    exact = js.backend == "exact"
-    checks = verify_favard_conditions(replace(js, umat=None), tol)
-    for c in checks.checks:
-        if c.ok or c.label.startswith("kernel lift"):
-            continue
-        raise FavardConditionError(f"inadmissible Jacobi data: {c.label}")
-    one = 1 if exact else 1.0
+    for c in verify_favard_conditions(js, tol).checks:
+        if not (c.ok or c.label.startswith("kernel lift")):
+            raise FavardConditionError(f"inadmissible Jacobi data: {c.label}")
+    return _assemble_fock(js, tol)
+
+
+def _assemble_fock(js: JacobiSequence, tol):
+    """build_fock without the admissibility gate."""
+    one = 1 if js.backend == "exact" else 1.0
     aplus = {}
     aminus = {}
-    alpha = {j: list(mats) for j, mats in js.alpha.items()}
     for j in range(1, js.d + 1):
-        shifts = []
-        for n in range(js.N):
-            s = creation_shift(js.d, n, j)
-            shifts.append([[x * one for x in row] for row in s])
-        aplus[j] = shifts
-        downs = [[]]  # nothing below the vacuum
-        for n in range(1, js.N + 1):
-            rhs = linalg.mat_mul(linalg.transpose(aplus[j][n - 1]), js.gomega[n])
-            rhs_cols = linalg.transpose(rhs)
-            try:
-                sols = linalg.solve_min_norm(
-                    js.gomega[n - 1], rhs_cols, js.backend, tol, check_consistency=True
-                )
-            except InconsistentSystemError as exc:
-                raise AdjointInconsistencyError(
-                    f"creation operator for coordinate {j} has no adjoint at level {n}: "
-                    f"a kernel vector of Gomega_{n - 1} does not lift into ker Gomega_{n} "
-                    f"({exc})"
-                ) from exc
-            downs.append(linalg.transpose(sols))
-        aminus[j] = downs
+        aplus[j] = [
+            [[x * one for x in row] for row in creation_shift(js.d, n, j)] for n in range(js.N)
+        ]
+        aminus[j] = [[]] + [  # nothing below the vacuum
+            annihilator(js.gomega, js.d, j, n, js.backend, tol) for n in range(1, js.N + 1)
+        ]
     fock = FockSpace(d=js.d, N=js.N, backend=js.backend, gomega=js.gomega, tol=tol)
     ops = FieldOperators(
         d=js.d,
         N=js.N,
         aplus=aplus,
-        alpha=alpha,
+        alpha={j: list(mats) for j, mats in js.alpha.items()},
         aminus=aminus,
         alpha_levels=js.alpha_levels,
     )
@@ -201,25 +186,20 @@ def vacuum_moments(fock: FockSpace, ops: FieldOperators, top: int) -> dict:
     return moments
 
 
-def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL, _prebuilt=None) -> Report:
+def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL) -> Report:
     """Decompose phi to Jacobi data, rebuild the Fock space, compare moments.
 
     Every monomial moment of degree <= min(2N or 2N+1, budget) must be
     reproduced by the corresponding vacuum word: exactly on the exact
     backend, within tol on the float backend.
     """
-    from .cap import extract_cap
-    from .gradation import build_gradation
-    from .jacobi import extract_jacobi
-    from .mindex import enumerate_level
+    gb = build_gradation(phi, N, tol)
+    js = extract_jacobi(gb, extract_cap(gb))
+    return _moment_report(phi, js, *build_fock(js, tol))
 
-    if _prebuilt is None:
-        gb = build_gradation(phi, N, tol)
-        cap = extract_cap(gb)
-        js = extract_jacobi(gb, cap)
-    else:
-        gb, cap, js = _prebuilt
-    fock, ops = build_fock(js, tol)
+
+def _moment_report(phi, js: JacobiSequence, fock: FockSpace, ops: FieldOperators) -> Report:
+    """Compare the vacuum moments of the Fock space built from js with phi."""
     top = min(js.max_word_length(), phi.max_degree)
     rebuilt = vacuum_moments(fock, ops, top)
     report = Report(name=f"moment roundtrip to degree {top}")
@@ -231,7 +211,7 @@ def roundtrip_report(phi, N, tol=linalg.DEFAULT_TOL, _prebuilt=None) -> Report:
                 worst = dev
         report.add(
             f"moments of degree {degree}",
-            linalg.within(worst, phi.backend, tol),
+            linalg.within(worst, phi.backend, fock.tol),
             deviation=worst,
         )
     return report

@@ -12,8 +12,10 @@ own data:
     Gomega_n = U_n^T G_n U_n = G_n,      alpha_{j,n} = Azero[j][n],
 
 the second because Azero[j][n] vanishes on ker G_n.  The pair
-(Gomega, alpha) is the complete reconstruction datum: together with the
-combinatorial index-shift creators it rebuilds every moment (module fock).
+(Gomega, alpha) is the complete reconstruction datum and the one hand-off
+between the two directions: together with the combinatorial index-shift
+creators and their Gomega-weighted adjoints (cap.annihilator) it rebuilds
+every moment (module fock).
 
 The operator form Omega_n = T_n^{-1} Gomega_n (T_n the diagonal tensor
 metric m!/n!) is derived on demand; the serialized object is always the
@@ -23,12 +25,15 @@ Admissibility (the Favard conditions) of a Jacobi sequence:
 
   (i)   Gomega_n symmetric positive semidefinite,
   (ii)  kernel compatibility: lifting a kernel vector of Gomega_n by any
-        coordinate shift lands in the kernel of Gomega_{n+1},
-  (iii) alpha symmetry: Gomega_n alpha_{j,n} = alpha_{j,n}^T Gomega_n,
-  (iv)  when the sequence was extracted from a gradation, U-unitarity:
-        Umat_n^T Gomega_n Umat_n = Gomega_n, with Umat_n built from the
-        extracted creation blocks, so the creators realise the
-        identification with the tensor levels.
+        coordinate shift lands in the kernel of Gomega_{n+1}; this is
+        exactly the condition under which the creators have adjoints,
+  (iii) alpha symmetry: Gomega_n alpha_{j,n} = alpha_{j,n}^T Gomega_n.
+
+verify_favard_conditions checks these on the data alone.  analyze adds
+(iv), a property of the extraction rather than of the data, to the same
+report: U-unitarity U_n^T Gomega_n U_n = Gomega_n with U_n = build_U(cap,
+n) from the extracted creation blocks, so the creators realise the
+identification with the tensor levels.
 
 Every functional-derived sequence passes all four; a hand-built sequence
 may fail (ii), in which case no Fock reconstruction exists.
@@ -61,14 +66,13 @@ __all__ = [
 
 @dataclass
 class JacobiSequence:
-    """Levels 0..N of Favard data.
+    """Levels 0..N of Favard data: exactly what a Jacobi file holds.
 
     gomega[n] is the d_n x d_n metric of the n-th symmetric tensor power;
     alpha[j][n] the preservation matrix of coordinate j at level n.  The
     alpha lists may stop one level short of N when the source moment budget
     ended at degree 2N (the level-N preservation block needs degree 2N+1).
-    umat is carried only by sequences extracted in-process; it does not
-    survive serialization.
+    tol is only the default tolerance of the checks run on the data.
     """
 
     d: int
@@ -76,7 +80,6 @@ class JacobiSequence:
     backend: str
     gomega: list
     alpha: dict
-    umat: list = None
     tol: float = linalg.DEFAULT_TOL
 
     @property
@@ -118,10 +121,7 @@ def build_U(cap: CapOperators, n: int):
 
 
 def extract_jacobi(gb: GradedBasis, cap: CapOperators) -> JacobiSequence:
-    """Read the Favard data off the gradation: Gomega_n = G_n, alpha_{j,n} = Azero[j][n].
-
-    Umat_n rides along for the U-unitarity check of verify_favard_conditions.
-    """
+    """Read the Favard data off the gradation: Gomega_n = G_n, alpha_{j,n} = Azero[j][n]."""
     if gb.N != cap.N or gb.d != cap.d:
         raise ValueError("gradation and cap operators disagree on d or N")
     return JacobiSequence(
@@ -130,17 +130,12 @@ def extract_jacobi(gb: GradedBasis, cap: CapOperators) -> JacobiSequence:
         backend=cap.backend,
         gomega=[lvl.gram for lvl in gb.levels],
         alpha={j: list(mats) for j, mats in cap.azero.items()},
-        umat=[build_U(cap, n) for n in range(cap.N + 1)],
         tol=cap.tol,
     )
 
 
 def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
-    """Pass/fail per Favard condition per level.
-
-    The U-unitarity check runs only for sequences extracted in-process
-    (file-loaded sequences carry no Umat).
-    """
+    """Pass/fail per Favard condition (i)-(iii) per level, on the data alone."""
     tol = js.tol if tol is None else tol
     exact = js.backend == "exact"
     report = Report(name="favard conditions")
@@ -193,15 +188,6 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
             dev = linalg.mat_max_diff(lhs, rhs)
             report.add(
                 f"alpha symmetry j={j} level {n}",
-                linalg.within(dev, js.backend, tol),
-                deviation=dev,
-            )
-    if js.umat is not None:
-        for n, u in enumerate(js.umat):
-            back = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), js.gomega[n]), u)
-            dev = linalg.mat_max_diff(back, js.gomega[n])
-            report.add(
-                f"U-unitarity level {n}",
                 linalg.within(dev, js.backend, tol),
                 deviation=dev,
             )
@@ -353,7 +339,7 @@ class MeasureAnalysis:
 def analyze(phi, N, tol=linalg.DEFAULT_TOL, with_roundtrip=True) -> MeasureAnalysis:
     """Run the full pipeline on phi and verify every identity on the way."""
     from .cap import extract_cap, verify_adjointness, verify_commutators, verify_jacobi_relation
-    from .fock import roundtrip_report
+    from .fock import _assemble_fock, _moment_report
     from .gradation import build_gradation, termination_level
 
     gb = build_gradation(phi, N, tol)
@@ -361,13 +347,21 @@ def analyze(phi, N, tol=linalg.DEFAULT_TOL, with_roundtrip=True) -> MeasureAnaly
     js = extract_jacobi(gb, cap)
     reports = {
         "positivity": gb.positivity,
-        "jacobi_relation": verify_jacobi_relation(cap, gb, tol),
-        "adjointness": verify_adjointness(cap, gb, tol),
-        "commutators": verify_commutators(cap, tol),
+        "jacobi_relation": verify_jacobi_relation(cap, gb),
+        "adjointness": verify_adjointness(cap, gb),
+        "commutators": verify_commutators(cap),
         "favard_conditions": verify_favard_conditions(js, tol),
     }
+    for n, g in enumerate(js.gomega):
+        u = build_U(cap, n)
+        dev = linalg.mat_max_diff(linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), g), u), g)
+        reports["favard_conditions"].add(
+            f"U-unitarity level {n}", linalg.within(dev, js.backend, tol), deviation=dev
+        )
     if with_roundtrip:
-        reports["roundtrip"] = roundtrip_report(phi, N, tol, _prebuilt=(gb, cap, js))
+        # the report above already holds the admissibility verdict, so the
+        # round trip builds without the build_fock gate
+        reports["roundtrip"] = _moment_report(phi, js, *_assemble_fock(js, tol))
     return MeasureAnalysis(
         source=phi.source,
         backend=phi.backend,

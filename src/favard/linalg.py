@@ -145,12 +145,8 @@ def rref(a):
     return m, pivots
 
 
-def _nullspace_exact(a):
-    """Basis of the right kernel, one vector per free column of the RREF."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    r, pivots = rref(a)
+def _kernel_from_rref(r, pivots, ncols):
+    """Right kernel of the first ncols columns of an RREF, one vector per free column."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -164,6 +160,12 @@ def _nullspace_exact(a):
     return basis
 
 
+def _nullspace_exact(a):
+    if not a:
+        return []
+    return _kernel_from_rref(*rref(a), len(a[0]))
+
+
 def _rank_exact(a):
     if not a:
         return 0
@@ -171,11 +173,12 @@ def _rank_exact(a):
 
 
 def _solve_exact(a, b_cols):
-    """Particular solutions of a X = B, free variables set to zero.
+    """Particular solutions of a X = B, free variables set to zero, and a basis of ker a.
 
-    b_cols is a list of right-hand-side column vectors.  Raises
-    InconsistentSystemError naming the offending column when no solution
-    exists.
+    b_cols is a list of right-hand-side column vectors.  One elimination of
+    the augmented matrix gives both: its first columns are the RREF of a.
+    Raises InconsistentSystemError naming the offending column when no
+    solution exists.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
@@ -196,7 +199,7 @@ def _solve_exact(a, b_cols):
         for row_idx, pc in enumerate(pivots):
             x[pc] = r[row_idx][ncols + t]
         solutions.append(x)
-    return solutions
+    return solutions, _kernel_from_rref(r, pivots, ncols)
 
 
 def _solve_min_norm_exact(a, b_cols):
@@ -206,14 +209,12 @@ def _solve_min_norm_exact(a, b_cols):
     the kernel, which picks the canonical representative supported on the
     row space.
     """
-    xs = _solve_exact(a, b_cols)
-    kern = _nullspace_exact(a)
+    xs, kern = _solve_exact(a, b_cols)
     if not kern:
         return xs
-    kt = kern  # rows are kernel basis vectors
     gram = [[_dot(u, v) for v in kern] for u in kern]
-    rhs_cols = [[_dot(u, x) for u in kt] for x in xs]
-    ys = _solve_exact(gram, rhs_cols)
+    rhs_cols = [[_dot(u, x) for u in kern] for x in xs]
+    ys, _ = _solve_exact(gram, rhs_cols)
     out = []
     for x, y in zip(xs, ys):
         corr = [Fraction(0)] * len(x)

@@ -219,6 +219,20 @@ def test_usage_errors_are_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_tol_and_level_are_exit_two(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    code, _, err = run(capsys, "decompose", "--measure", "gaussian_product", "--d", "1",
+                       "--N", "2", "--tol", "0", "--out", str(out))
+    assert code == 2 and "tol must be positive" in err
+    code, _, err = run(capsys, "reconstruct", "--jacobi", "x.json", "--tol=-1e-3",
+                       "--out", str(out))
+    assert code == 2 and "tol must be positive" in err
+    code, _, err = run(capsys, "verify", "--measure", "gaussian_product", "--d", "1",
+                       "--N", "-1")
+    assert code == 2 and "N must be >= 0" in err
+    assert not out.exists()
+
+
 def test_atoms_flag(tmp_path, capsys):
     j = tmp_path / "a.jacobi.json"
     atoms = json.dumps([[["-1"], "1/4"], [["0"], "1/2"], [["2"], "1/4"]])

@@ -5,8 +5,11 @@ from math import factorial
 
 import pytest
 
+import favard.fock
+import favard.jacobi
 from favard.cap import extract_cap
 from favard.errors import FileFormatError
+from favard.fock import build_fock
 from favard.gradation import build_gradation
 from favard.jacobi import (
     JacobiSequence,
@@ -108,6 +111,34 @@ def test_transport_through_U_returns_the_gradation_data(name, d, N, atoms):
         for n, a0 in enumerate(cap.azero[j]):
             rhs = transpose(mat_mul(a0, umats[n]))
             assert transpose(solve_min_norm(umats[n], rhs, "exact")) == a0 == js.alpha[j][n]
+
+
+@pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
+def test_forward_and_converse_annihilators_agree(name, d, N, atoms):
+    # one adjoint solve serves both directions, so the blocks are equal exactly
+    phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
+    assert cap.aminus == build_fock(js)[1].aminus
+
+
+@pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
+def test_extracted_sequence_survives_its_file(name, d, N, atoms):
+    # the sequence holds exactly what the Jacobi file holds
+    phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
+    assert load_jacobi_file(jacobi_file_text(js), is_text=True) == js
+
+
+def test_analyze_checks_the_favard_conditions_once(monkeypatch):
+    calls = []
+
+    def counted(js, tol=None):
+        calls.append(js)
+        return verify_favard_conditions(js, tol)
+
+    monkeypatch.setattr(favard.jacobi, "verify_favard_conditions", counted)
+    monkeypatch.setattr(favard.fock, "verify_favard_conditions", counted)
+    ma = analyze(from_catalog("circle_uniform", 2, 5), 2, with_roundtrip=True)
+    assert ma.ok and "roundtrip" in ma.reports
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------- extraction

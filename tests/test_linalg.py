@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import favard.linalg
 from favard.errors import InconsistentSystemError
 from favard.linalg import (
     DEFAULT_TOL,
@@ -61,6 +62,20 @@ def test_min_norm_solution_exact(r, c, data):
     # least-norm solution is orthogonal to the kernel
     for v in nullspace(a, "exact"):
         assert sum(p * q for p, q in zip(x, v)) == 0
+
+
+def test_full_rank_exact_solve_eliminates_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return rref(a)
+
+    monkeypatch.setattr(favard.linalg, "rref", counted)
+    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    x = solve_min_norm(a, [[Fraction(1), Fraction(0)]], "exact")
+    assert mat_vec(a, x[0]) == [1, 0]
+    assert len(calls) == 1
 
 
 def test_inconsistent_system_detected():
