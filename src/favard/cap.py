@@ -16,9 +16,8 @@ orthogonal to every lower degree, so B = G_{n+1} S_{j,n} with S_{j,n} the
 the G-weighted adjoint of the index shift, G_{n-1} X = S_{j,n-1}^T G_n;
 annihilator solves that system for the forward direction here and for
 the Fock reconstruction alike (module fock), and it is consistent exactly
-when kernel vectors of G_{n-1} lift into ker G_n.  Only preservation pairs
-with the localizing matrix L_j = [phi(x_j x^a x^b)]: B = P_n L_j P_n^T,
-where P_n holds the level-n basis as coefficient rows (module gradation).
+when kernel vectors of G_{n-1} lift into ker G_n.  Preservation pairs the
+level's modified moments R_n = P_n H with x_j P_n: B = R_n (x_j P_n)^T.
 Each column is the minimum-norm solution, so on degenerate levels the
 representative supported on the kernel complement is chosen (Aplus is S
 followed by the projector onto range G_{n+1}); identities involving
@@ -33,9 +32,9 @@ budget reaches 2N+1; alpha_levels records how far they go.
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import AdjointInconsistencyError, InconsistentSystemError, MomentDegreeError
+from .errors import AdjointInconsistencyError, InconsistentSystemError
 from .gradation import GradedBasis
-from .mindex import creation_shift, enumerate_upto
+from .mindex import creation_shift
 from .reports import Report
 
 __all__ = [
@@ -96,24 +95,18 @@ def annihilator(gomega, d, j, n, backend, tol):
 def extract_cap(gb: GradedBasis) -> CapOperators:
     """Extract all CAP matrices from a built gradation.
 
-    Needs moments to degree 2N for the creation and annihilation blocks; the
-    level-N preservation block additionally needs degree 2N+1 and is
-    omitted (alpha_levels = N-1) when the budget stops at 2N.
+    Reads only the Grams and the modified moments of the levels.  The
+    level-N preservation block needs moments to degree 2N+1 and is omitted
+    (alpha_levels = N-1) when the budget stops at 2N.
     """
     N = gb.N
-    if gb.phi.max_degree < 2 * N:
-        raise MomentDegreeError(
-            f"cap extraction to level {N} needs moments to degree {2 * N}"
-        )
     alpha_levels = N if gb.phi.max_degree >= 2 * N + 1 else max(N - 1, 0)
     if N == 0 and gb.phi.max_degree < 1:
         alpha_levels = -1  # not even Azero[j][0] = [phi(X_j)] is computable
     backend, tol = gb.backend, gb.tol
     grams = [lvl.gram for lvl in gb.levels]
-    rows = [lvl.coeffs for lvl in gb.levels]
     aplus, azero, aminus = {}, {}, {}
     for j in range(1, gb.d + 1):
-        shift = tuple(int(i == j) for i in range(1, gb.d + 1))
         aplus[j], azero[j] = [], []
         aminus[j] = [[]]  # Aminus[j][0] is the empty matrix: no level below the vacuum
         for n in range(N):
@@ -122,7 +115,11 @@ def extract_cap(gb: GradedBasis) -> CapOperators:
             aplus[j].append(_solve(grams[n + 1], up, backend, tol))
             aminus[j].append(annihilator(grams, gb.d, j, n + 1, backend, tol))
         for n in range(alpha_levels + 1):
-            azero[j].append(_solve(grams[n], gb.pairing(rows[n], rows[n], shift), backend, tol))
+            # <p_n, x_j p_n> = R_n (x_j P_n)^T
+            xp = gb.times_x(j, n)
+            up_to = [r[: len(xp[0])] for r in gb.level(n).mods]
+            pairing = linalg.mat_mul(up_to, linalg.transpose(xp))
+            azero[j].append(_solve(grams[n], pairing, backend, tol))
     return CapOperators(
         d=gb.d,
         N=N,
@@ -146,14 +143,9 @@ def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis):
     instead would cancel in floats.
     """
     report = Report(name="three-term relation")
-    monos = enumerate_upto(cap.d, cap.N)
-    pos = {m: i for i, m in enumerate(monos)}
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
-            res = [[0] * len(enumerate_upto(cap.d, n + 1)) for _ in gb.level(n).coeffs]
-            for row, p in zip(res, gb.level(n).coeffs):
-                for m, c in zip(monos, p):
-                    row[pos[m[: j - 1] + (m[j - 1] + 1,) + m[j:]]] = c
+            res = gb.times_x(j, n)
             images = [(cap.aplus[j][n], n + 1), (cap.azero[j][n], n)]
             if n >= 1:
                 images.append((cap.aminus[j][n], n - 1))

@@ -5,14 +5,16 @@ Level n is spanned by the monic polynomials
     p_{n,m} = X^m - (projection of X^m onto all earlier levels),
 
 one per multi-index m of degree n, held as coefficient rows P_n over the
-monomials of degree <= n.  Pairings are products with the moment matrix
-H = [phi(x^a x^b)]: the rows of P_0..P_N form L^{-1} in the block LDL^T
-factorization of H, and G_n = P_n H P_n^T is the diagonal block D_n.
-The projection onto an earlier level k solves G_k c = P_k H e_m for the
-minimum Euclidean norm coefficient vector, so degenerate levels (singular
-G_k) are handled without quotienting: the representative is the one
-supported on the orthogonal complement of ker G_k in coefficient space.
-The polynomials stay exactly monic; all degeneracy lives in the Gram
+monomials of degree <= n.  Each level keeps its modified moments R_n = P_n H
+(H = [phi(x^a x^b)] the moment matrix), so it pairs with a coefficient row
+q as R_n q^T: X^m pairs with level k as column m of R_k; G_n = R_n P_n^T is
+the diagonal block D_n of the block LDL^T factorization of H, whose L^{-1}
+has the rows P_0..P_N; and x_j P_n pairs as R_n (x_j P_n)^T (module cap).
+The projection onto level k solves G_k c = R_k e_m for the minimum
+Euclidean norm coefficient vector, so degenerate levels (singular G_k) are
+handled without quotienting: the representative is the one supported on
+the orthogonal complement of ker G_k in coefficient space.  The
+polynomials stay exactly monic; all degeneracy lives in the Gram
 matrices.  Levels are mutually orthogonal by construction, exactly so on
 the exact backend even when Gram matrices are singular, because the
 projection systems are always consistent for a positive functional.
@@ -40,15 +42,16 @@ __all__ = [
 
 @dataclass
 class GradedLevel:
-    """One level: monic basis rows, Gram matrix G_n = P_n H P_n^T, kernel data.
+    """One level: basis rows P_n, modified moments R_n = P_n H, Gram G_n, ker G_n.
 
-    coeffs[i] holds p_{n, indices[i]} as coefficients over the monomials of
-    degree <= n in mindex.enumerate_upto order; kernel is a basis of ker G_n.
+    Columns run in mindex.enumerate_upto order: coeffs over the monomials of
+    degree <= n, mods over those of degree <= max(N, n+1) within the budget.
     """
 
     n: int
     indices: tuple
     coeffs: list
+    mods: list
     gram: list
     kernel: list
     rank: int
@@ -81,11 +84,21 @@ class GradedBasis:
     def level(self, n) -> GradedLevel:
         return self.levels[n]
 
-    def pairing(self, a, b, shift=None):
-        """[phi(p q x^shift)] for the coefficient rows p in a and q in b: a L b^T."""
+    def times_x(self, j, n):
+        """Coefficient rows of x_j p_{n,m} over the monomials of degree <= n + 1."""
+        monos = enumerate_upto(self.d, n + 1)
+        pos = {m: i for i, m in enumerate(monos)}
+        rows = [[0] * len(monos) for _ in self.levels[n].coeffs]
+        for row, p in zip(rows, self.levels[n].coeffs):
+            for m, c in zip(monos, p):
+                row[pos[m[: j - 1] + (m[j - 1] + 1,) + m[j:]]] = c
+        return rows
+
+    def pairing(self, a, b):
+        """[phi(p q)] for the coefficient rows p in a and q in b: a H b^T."""
         monos = enumerate_upto(self.d, self.phi.max_degree)
-        loc = moment_matrix(self.phi, monos[: len(a[0])], monos[: len(b[0])], shift)
-        return linalg.mat_mul(linalg.mat_mul(a, loc), linalg.transpose(b))
+        h = moment_matrix(self.phi, monos[: len(a[0])], monos[: len(b[0])])
+        return linalg.mat_mul(linalg.mat_mul(a, h), linalg.transpose(b))
 
 
 def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> GradedBasis:
@@ -104,18 +117,22 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
     if phi.backend == "float":
         scale = max(1.0, max(abs(float(v)) for v in phi.values.values()))
     cast = Fraction if phi.backend == "exact" else float
+    monos = enumerate_upto(phi.d, phi.max_degree)
     for n in range(N + 1):
         idxs = enumerate_level(phi.d, n)
         low = len(enumerate_upto(phi.d, n - 1))  # level-n monomials are the last columns
-        units = [[0] * low + unit for unit in linalg.identity(len(idxs))]  # the X^m
-        rows = [row[:] for row in units]
+        width = low + len(idxs)
+        rows = [[int(c == low + i) for c in range(width)] for i in range(len(idxs))]  # the X^m
         for lvl in gb.levels:
-            # one min-norm solve per earlier level, one column per monomial X^m
-            rhs = linalg.transpose(gb.pairing(lvl.coeffs, units))
+            # one min-norm solve per earlier level; X^m pairs with it as column m of R_k
+            rhs = [[r[c] for r in lvl.mods] for c in range(low, width)]
             sols = linalg.solve_min_norm(lvl.gram, rhs, phi.backend, tol)
             for row, corr in zip(rows, linalg.mat_mul(sols, lvl.coeffs)):
                 row[: len(corr)] = [x - c for x, c in zip(row, corr)]
-        g = [[cast(x) for x in row] for row in gb.pairing(rows, rows)]
+        cols = len(enumerate_upto(phi.d, min(max(N, n + 1), phi.max_degree - n)))
+        mods = linalg.mat_mul(rows, moment_matrix(phi, monos[:width], monos[:cols]))
+        g = linalg.mat_mul([r[:width] for r in mods], linalg.transpose(rows))
+        g = [[cast(x) for x in row] for row in g]
         # a float level whose whole Gram sits below the moment scale is
         # cancellation noise around a true zero; its own largest eigenvalue
         # is no scale reference, so floor it before any rank decision
@@ -124,7 +141,7 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         kern = linalg.nullspace(g, phi.backend, tol)
         rank = len(idxs) - len(kern)
         gb.levels.append(
-            GradedLevel(n=n, indices=idxs, coeffs=rows, gram=g, kernel=kern, rank=rank)
+            GradedLevel(n=n, indices=idxs, coeffs=rows, mods=mods, gram=g, kernel=kern, rank=rank)
         )
     return gb
 

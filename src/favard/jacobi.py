@@ -42,6 +42,7 @@ may fail (ii), in which case no Fock reconstruction exists.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from ._util import atomic_write_text, format_matrix, parse_matrix
@@ -94,12 +95,17 @@ class JacobiSequence:
         return 2 * self.N + 1 if self.alpha_levels >= self.N else 2 * self.N
 
 
+@lru_cache(maxsize=None)
+def _metric_diag(d, n, backend):
+    """Diagonal of the tensor metric T_n = m!/n! in the backend's scalars."""
+    diag = tensor_metric(d, n).metric_diag
+    return tuple(map(float, diag)) if backend == "float" else diag
+
+
 def omega_matrix(js: JacobiSequence, n: int):
     """Omega_n = T_n^{-1} Gomega_n under the tensor metric m!/n!."""
-    diag = tensor_metric(js.d, n).metric_diag
-    if js.backend == "float":
-        diag = [float(x) for x in diag]
-    return [[row[c] / diag[r] for c in range(len(row))] for r, row in enumerate(js.gomega[n])]
+    diag = _metric_diag(js.d, n, js.backend)
+    return [[x / t for x in row] for t, row in zip(diag, js.gomega[n])]
 
 
 def build_U(cap: CapOperators, n: int):
@@ -154,11 +160,8 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
             detail="" if ok else "negative direction found",
         )
         # the operator form: T_n Omega_n must reproduce Gomega_n exactly
-        omega = omega_matrix(js, n)
-        diag = tensor_metric(js.d, n).metric_diag
-        if js.backend == "float":
-            diag = [float(x) for x in diag]
-        back = [[diag[r] * omega[r][c] for c in range(len(g))] for r in range(len(g))]
+        diag = _metric_diag(js.d, n, js.backend)
+        back = [[t * x for x in row] for t, row in zip(diag, omega_matrix(js, n))]
         dev = linalg.mat_max_diff(back, g)
         report.add(
             f"tensor-metric symmetry of Omega level {n}",

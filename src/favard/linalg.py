@@ -22,7 +22,6 @@ __all__ = [
     "transpose",
     "mat_mul",
     "mat_vec",
-    "identity",
     "mat_max_abs",
     "mat_max_diff",
     "within",
@@ -81,10 +80,6 @@ def mat_vec(a, v):
     if len(a[0]) != len(v):
         raise ValueError(f"shape mismatch: ({len(a)},{len(a[0])}) @ ({len(v)},)")
     return [_dot(row, v) for row in a]
-
-
-def identity(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
 
 
 def mat_max_abs(a):
@@ -182,19 +177,18 @@ def _solve_exact(a, b_cols):
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    k = len(b_cols)
     aug = [
         [Fraction(a[i][j]) for j in range(ncols)] + [Fraction(col[i]) for col in b_cols]
         for i in range(nrows)
     ]
     r, pivots = rref(aug)
-    for which, pc in enumerate(pivots):
+    for pc in pivots:
         if pc >= ncols:
             raise InconsistentSystemError(
                 f"linear system inconsistent in right-hand side column {pc - ncols}"
             )
     solutions = []
-    for t in range(k):
+    for t in range(len(b_cols)):
         x = [Fraction(0)] * ncols
         for row_idx, pc in enumerate(pivots):
             x[pc] = r[row_idx][ncols + t]
@@ -279,8 +273,7 @@ def _sym_eig_float(g):
     if gm.size == 0:
         return np.array([]), np.zeros((0, 0))
     gm = (gm + gm.T) / 2.0
-    w, v = np.linalg.eigh(gm)
-    return w, v
+    return np.linalg.eigh(gm)
 
 
 def _nullspace_float(g, tol):
@@ -354,8 +347,7 @@ def psd_floor(g, backend, tol=DEFAULT_TOL):
     """
     _check_backend(backend)
     if backend == "exact":
-        ok, witness = _psd_pivots_exact(g)
-        return ok, witness
+        return _psd_pivots_exact(g)
     w, _ = _sym_eig_float(g)
     if w.size == 0:
         return True, 0.0

@@ -99,9 +99,6 @@ class MomentFunctional:
             )
         return self.values[m]
 
-    def __call__(self, p):
-        return apply(self, p)
-
 
 def apply(phi: MomentFunctional, p: Polynomial):
     """phi(p); raises MomentDegreeError if deg p exceeds the budget."""
@@ -111,8 +108,7 @@ def apply(phi: MomentFunctional, p: Polynomial):
         raise MomentDegreeError(
             f"polynomial degree {p.degree()} exceeds available moments ({phi.max_degree})"
         )
-    zero = Fraction(0) if phi.backend == "exact" else 0.0
-    total = zero
+    total = Fraction(0) if phi.backend == "exact" else 0.0
     for m, c in p.terms.items():
         total = total + c * phi.values[m]
     return total
@@ -123,11 +119,8 @@ def gram(phi: MomentFunctional, a_list, b_list):
     return [[apply(phi, a * b) for b in b_list] for a in a_list]
 
 
-def moment_matrix(phi: MomentFunctional, rows, cols, shift=None):
-    """[phi(x^a x^b x^shift)] for a in rows, b in cols: the moment matrix H of
-    the monomials up to a degree, or with shift e_j the localizing matrix of x_j."""
-    if shift is not None:
-        rows = [tuple(map(add, a, shift)) for a in rows]
+def moment_matrix(phi: MomentFunctional, rows, cols):
+    """[phi(x^a x^b)] for a in rows, b in cols: a block of the moment matrix H."""
     try:
         return [[phi.values[tuple(map(add, a, b))] for b in cols] for a in rows]
     except KeyError as exc:

@@ -24,8 +24,8 @@ from favard.jacobi import (
     save_jacobi_file,
     verify_favard_conditions,
 )
-from favard.linalg import identity, mat_mul, mat_vec, solve_min_norm, transpose
-from favard.mindex import creation_shift, enumerate_level, tensor_metric
+from favard.linalg import mat_mul, mat_vec, solve_min_norm, transpose
+from favard.mindex import creation_shift, enumerate_level, enumerate_upto, tensor_metric
 from favard.moments import from_catalog
 
 from oracles import brute_gram_schmidt_1d
@@ -50,7 +50,7 @@ def test_gaussian_2d_U_is_identity():
     phi, gb, cap, js = _sequence("gaussian_product", 2, 3)
     for n in range(4):
         dim = len(enumerate_level(2, n))
-        assert build_U(cap, n) == identity(dim, Fraction(1))
+        assert build_U(cap, n) == [[Fraction(int(i == k)) for k in range(dim)] for i in range(dim)]
 
 
 def test_rademacher_U_vanishes_on_dead_levels():
@@ -85,17 +85,53 @@ _GRADATION_CASES = [
 ]
 
 
+def _form(p, m, q):
+    """p m q^T for coefficient rows p and q, with the sums written out."""
+    return [[sum(pi[a] * m[a][b] * qi[b] for a in range(len(pi)) for b in range(len(qi)))
+             for qi in q] for pi in p]
+
+
 @pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
 def test_creation_pairing_is_the_gram_times_the_index_shift(name, d, N, atoms):
-    # <p_{n+1}, x_j p_n> through the localizing matrix of x_j, exactly
+    # <p_{n+1}, x_j p_n> and <p_n, x_j p_n> through the localizing matrix
+    # L_j = [phi(x_j x^a x^b)], built here from the moments, exactly
     phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
     if name == "atoms":
         assert [lvl.rank for lvl in gb.levels] == [1, 2, 1, 0]
+    monos = enumerate_upto(d, N)
     for j in range(1, d + 1):
         e_j = tuple(int(i == j) for i in range(1, d + 1))
-        for n in range(N):
-            pairing = gb.pairing(gb.level(n + 1).coeffs, gb.level(n).coeffs, e_j)
-            assert pairing == mat_mul(gb.level(n + 1).gram, creation_shift(d, n, j))
+        loc = [[phi.values[tuple(x + y + z for x, y, z in zip(a, b, e_j))] for b in monos]
+               for a in monos]
+        for n in range(N + 1):
+            rows = gb.level(n).coeffs
+            if n < N:
+                pairing = _form(gb.level(n + 1).coeffs, loc, rows)
+                assert pairing == mat_mul(gb.level(n + 1).gram, creation_shift(d, n, j))
+            assert _form(rows, loc, rows) == mat_mul(gb.level(n).gram, cap.azero[j][n])
+
+
+@pytest.mark.parametrize("budget", ["2N", "2N+1"])
+@pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES + [
+    ("uniform_box", 3, 3, None),
+    ("exponential_product", 1, 6, None),
+])
+def test_levels_keep_their_modified_moments(name, d, N, atoms, budget):
+    # R_n = P_n H with H built here from the moments, over the columns of
+    # degree <= max(N, n+1) the budget reaches; zero below degree n and G_n
+    # on the level-n columns
+    top = 2 * N + (budget == "2N+1")
+    phi = from_catalog(name, d, top, atoms=atoms)
+    gb = build_gradation(phi, N)
+    for n, lvl in enumerate(gb.levels):
+        rows = enumerate_upto(d, n)
+        cols = enumerate_upto(d, min(max(N, n + 1), top - n))
+        h = [[phi.values[tuple(x + y for x, y in zip(a, b))] for b in cols] for a in rows]
+        assert lvl.mods == [[sum(p[a] * h[a][c] for a in range(len(rows)))
+                             for c in range(len(cols))] for p in lvl.coeffs]
+        low = len(enumerate_upto(d, n - 1))
+        assert all(x == 0 for r in lvl.mods for x in r[:low])
+        assert [r[low:len(rows)] for r in lvl.mods] == lvl.gram
 
 
 @pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
@@ -217,9 +253,9 @@ def test_kernel_lift_violation_detected():
 def test_alpha_asymmetry_detected():
     js = JacobiSequence(
         d=2, N=1, backend="exact",
-        gomega=[[[Fraction(1)]], identity(2, Fraction(1))],
+        gomega=[[[Fraction(1)]], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]],
         alpha={1: [[[Fraction(0)]], [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]],
-               2: [[[Fraction(0)]], identity(2, Fraction(0))]},
+               2: [[[Fraction(0)]], [[Fraction(0)] * 2 for _ in range(2)]]},
     )
     rep = verify_favard_conditions(js)
     assert not rep.ok

@@ -8,7 +8,6 @@ import favard.linalg
 from favard.errors import InconsistentSystemError
 from favard.linalg import (
     DEFAULT_TOL,
-    identity,
     mat_mul,
     mat_vec,
     nullspace,
@@ -129,7 +128,7 @@ def test_float_nullspace_threshold():
 def test_matrix_helpers():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert transpose(a) == [[1, 3], [2, 4]]
-    assert mat_mul(a, identity(2, Fraction(1))) == a
+    assert mat_mul(a, [[1, 0], [0, 1]]) == a
     assert mat_vec(a, [Fraction(1), Fraction(1)]) == [3, 7]
 
 
