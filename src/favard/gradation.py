@@ -132,7 +132,8 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         cols = len(enumerate_upto(phi.d, min(max(N, n + 1), phi.max_degree - n)))
         mods = linalg.mat_mul(rows, moment_matrix(phi, monos[:width], monos[:cols]))
         g = linalg.mat_mul([r[:width] for r in mods], linalg.transpose(rows))
-        g = [[cast(x) for x in row] for row in g]
+        # (G + G^T)/2 is a no-op on exact data and makes float Grams exactly symmetric
+        g = [[(cast(x) + cast(y)) / 2 for x, y in zip(row, col)] for row, col in zip(g, zip(*g))]
         # a float level whose whole Gram sits below the moment scale is
         # cancellation noise around a true zero; its own largest eigenvalue
         # is no scale reference, so floor it before any rank decision

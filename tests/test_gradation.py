@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -12,7 +13,7 @@ from favard.gradation import (
     termination_level,
 )
 from favard.mindex import enumerate_level
-from favard.moments import MomentFunctional, apply, from_catalog, gram
+from favard.moments import MomentFunctional, apply, from_catalog, from_samples, gram
 from favard.poly import Polynomial, graded_component, monomial
 
 from oracles import brute_gram_schmidt_1d
@@ -234,3 +235,21 @@ def test_level_rows_are_a_block_ldlt_of_the_moment_matrix(name, d, N, atoms):
                 diag[offset + i][offset + k] = x
         offset += len(g)
     assert form == diag
+
+
+# ---------------------------------------------------- float Gram symmetry
+
+def _gaussian_cloud(seed, count=40):
+    rng = random.Random(f"samples-{seed}")
+    return [[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("source,N", [
+    (lambda: from_catalog("gaussian_product", 2, 21, backend="float"), 10),
+    (lambda: from_samples(_gaussian_cloud(0), 12, backend="float"), 6),
+], ids=["gaussian_product-d2-N10", "cloud-seed0-N6"])
+def test_float_grams_are_exactly_symmetric(source, N):
+    gb = build_gradation(source(), N)
+    for lvl in gb.levels:
+        g = lvl.gram
+        assert all(g[i][k] == g[k][i] for i in range(len(g)) for k in range(len(g)))
