@@ -117,8 +117,8 @@ def extract_cap(gb: GradedBasis) -> CapOperators:
         for n in range(alpha_levels + 1):
             # <p_n, x_j p_n> = R_n (x_j P_n)^T
             xp = gb.times_x(j, n)
-            up_to = [r[: len(xp[0])] for r in gb.level(n).mods]
-            pairing = linalg.mat_mul(up_to, linalg.transpose(xp))
+            mods = [r[: len(xp[0])] for r in gb.level(n).mods]
+            pairing = linalg.mat_mul(mods, linalg.transpose(xp))
             azero[j].append(_solve(grams[n], pairing, backend, tol))
     return CapOperators(
         d=gb.d,
