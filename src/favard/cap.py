@@ -8,32 +8,35 @@ blocks, written in the monic level bases, are
     Azero[j][n]  : d_n     x d_n   level n -> n
     Aminus[j][n] : d_{n-1} x d_n   level n -> n-1
 
+so that x_j P_n = Aplus^T P_{n+1} + Azero^T P_n + Aminus^T P_{n-1} up to
+null polynomials.  Run backwards, that relation is the recurrence that
+builds each level from the two below (module gradation); the gradation
+sweep therefore solves every block once, as soon as its Grams exist, and
+extract_cap only copies them out.
+
 Each block solves G_target X = B for the pairing B of the target level
 with x_j times the source level.  Creation needs no moments beyond the
 Grams: x_j p_{n,m} = p_{n+1,m+e_j} + (degree <= n), and level n+1 is
 orthogonal to every lower degree, so B = G_{n+1} S_{j,n} with S_{j,n} the
 0/1 index shift m -> m + e_j (mindex.creation_shift).  Annihilation is
 the G-weighted adjoint of the index shift, G_{n-1} X = S_{j,n-1}^T G_n;
-annihilator solves that system for the forward direction here and for
-the Fock reconstruction alike (module fock), and it is consistent exactly
-when kernel vectors of G_{n-1} lift into ker G_n.  Preservation pairs the
-level's modified moments R_n = P_n H with x_j P_n: B = R_n (x_j P_n)^T.
-Each column is the minimum-norm solution, so on degenerate levels the
+annihilator solves that system for the forward direction and the Fock
+reconstruction alike (module fock), and it is consistent exactly when
+kernel vectors of G_{n-1} lift into ker G_n.  Preservation pairs the
+level's modified moments R_n = P_n H with x_j P_n: B = R_n (x_j P_n)^T,
+which needs moments to degree 2n+1, so the top level N carries Azero
+only when the budget reaches 2N+1 (alpha_levels records how far).  Each
+column is the minimum-norm solution, so on degenerate levels the
 representative supported on the kernel complement is chosen (Aplus is S
 followed by the projector onto range G_{n+1}); identities involving
-adjoints therefore hold in the G-weighted sense, never entrywise.
-Aminus[j][0] is the empty matrix (the vacuum has no level below).
-
-Preservation blocks need moments one degree beyond the Gram data (degree
-2n+1 at level n), so the top level N carries Azero only when the moment
-budget reaches 2N+1; alpha_levels records how far they go.
+adjoints hold in the G-weighted sense, never entrywise.  Aminus[j][0] is
+the empty matrix (the vacuum has no level below).
 """
 
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import AdjointInconsistencyError, InconsistentSystemError
-from .gradation import GradedBasis
 from .mindex import creation_shift
 from .reports import Report
 
@@ -92,48 +95,20 @@ def annihilator(gomega, d, j, n, backend, tol):
     return linalg.transpose(sols)
 
 
-def extract_cap(gb: GradedBasis) -> CapOperators:
-    """Extract all CAP matrices from a built gradation.
-
-    Reads only the Grams and the modified moments of the levels.  The
-    level-N preservation block needs moments to degree 2N+1 and is omitted
-    (alpha_levels = N-1) when the budget stops at 2N.
-    """
-    N = gb.N
-    alpha_levels = N if gb.phi.max_degree >= 2 * N + 1 else max(N - 1, 0)
-    if N == 0 and gb.phi.max_degree < 1:
-        alpha_levels = -1  # not even Azero[j][0] = [phi(X_j)] is computable
-    backend, tol = gb.backend, gb.tol
+def extract_cap(gb) -> CapOperators:
+    """The CAP blocks build_gradation solved in its sweep, copied out; solves nothing."""
+    blocks = [{j: list(v) for j, v in b.items()} for b in (gb.aplus, gb.azero, gb.aminus)]
     grams = [lvl.gram for lvl in gb.levels]
-    aplus, azero, aminus = {}, {}, {}
-    for j in range(1, gb.d + 1):
-        aplus[j], azero[j] = [], []
-        aminus[j] = [[]]  # Aminus[j][0] is the empty matrix: no level below the vacuum
-        for n in range(N):
-            # <p_{n+1}, x_j p_n> = G_{n+1} S_{j,n}
-            up = linalg.mat_mul(grams[n + 1], creation_shift(gb.d, n, j))
-            aplus[j].append(_solve(grams[n + 1], up, backend, tol))
-            aminus[j].append(annihilator(grams, gb.d, j, n + 1, backend, tol))
-        for n in range(alpha_levels + 1):
-            # <p_n, x_j p_n> = R_n (x_j P_n)^T
-            xp = gb.times_x(j, n)
-            mods = [r[: len(xp[0])] for r in gb.level(n).mods]
-            pairing = linalg.mat_mul(mods, linalg.transpose(xp))
-            azero[j].append(_solve(grams[n], pairing, backend, tol))
-    return CapOperators(
-        d=gb.d,
-        N=N,
-        backend=backend,
-        tol=tol,
-        grams=grams,
-        aplus=aplus,
-        azero=azero,
-        aminus=aminus,
-        alpha_levels=alpha_levels,
-    )
+    return CapOperators(gb.d, gb.N, gb.backend, gb.tol, grams, *blocks, gb.alpha_levels)
 
 
-def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis):
+def _subtract_image(rows, block, lower):
+    """rows -= block^T lower in place; lower's coefficient rows cover rows' leading columns."""
+    for row, img in zip(rows, linalg.mat_mul(linalg.transpose(block), lower)):
+        row[: len(img)] = [x - c for x, c in zip(row, img)]
+
+
+def verify_jacobi_relation(cap: CapOperators, gb):
     """Check that X_j p_{n,m} equals its three-block image up to zero seminorm.
 
     The residual r = X_j p - (its images in levels n+1, n, n-1) is formed
@@ -146,24 +121,17 @@ def verify_jacobi_relation(cap: CapOperators, gb: GradedBasis):
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
             res = gb.times_x(j, n)
-            images = [(cap.aplus[j][n], n + 1), (cap.azero[j][n], n)]
-            if n >= 1:
-                images.append((cap.aminus[j][n], n - 1))
-            for block, k in images:
-                image = linalg.mat_mul(linalg.transpose(block), gb.level(k).coeffs)
-                for row, img in zip(res, image):
-                    row[: len(img)] = [x - c for x, c in zip(row, img)]
+            blocks = (cap.aplus[j][n], cap.azero[j][n], cap.aminus[j][n])
+            for block, k in zip(blocks, (n + 1, n, n - 1)):
+                if block:  # Aminus[j][0] is the empty matrix
+                    _subtract_image(res, block, gb.level(k).coeffs)
             form = gb.pairing(res, res)
             worst = max([0] + [abs(form[i][i]) for i in range(len(res))])
-            report.add(
-                f"residual seminorm j={j} level {n}",
-                linalg.within(worst, cap.backend, cap.tol),
-                deviation=worst,
-            )
+            _check(report, cap, f"residual seminorm j={j} level {n}", worst)
     return report
 
 
-def verify_adjointness(cap: CapOperators, gb: GradedBasis):
+def verify_adjointness(cap: CapOperators, gb):
     """G-weighted adjoint identities between the blocks.
 
     Creation against annihilation: G_{n+1} A+_{j,n} = (A-_{j,n+1})^T G_n.
@@ -175,22 +143,18 @@ def verify_adjointness(cap: CapOperators, gb: GradedBasis):
             lhs = linalg.mat_mul(cap.grams[n + 1], cap.aplus[j][n])
             rhs = linalg.mat_mul(linalg.transpose(cap.aminus[j][n + 1]), cap.grams[n])
             dev = linalg.mat_max_diff(lhs, rhs)
-            report.add(
-                f"creation-annihilation adjoint j={j} level {n}",
-                linalg.within(dev, cap.backend, cap.tol),
-                deviation=dev,
-            )
+            _check(report, cap, f"creation-annihilation adjoint j={j} level {n}", dev)
         for n in range(cap.alpha_levels + 1):
             a0 = cap.azero[j][n]
             lhs = linalg.mat_mul(cap.grams[n], a0)
             rhs = linalg.mat_mul(linalg.transpose(a0), cap.grams[n])
             dev = linalg.mat_max_diff(lhs, rhs)
-            report.add(
-                f"preservation self-adjoint j={j} level {n}",
-                linalg.within(dev, cap.backend, cap.tol),
-                deviation=dev,
-            )
+            _check(report, cap, f"preservation self-adjoint j={j} level {n}", dev)
     return report
+
+
+def _check(report, cap, label, dev):
+    report.add(label, linalg.within(dev, cap.backend, cap.tol), deviation=dev)
 
 
 def _seminorm_dev(g, diff):
@@ -228,11 +192,7 @@ def verify_commutators(cap: CapOperators):
                     mm(cap.aplus[j][n + 1], cap.aplus[k][n]),
                 )
                 dev = _seminorm_dev(cap.grams[n + 2], diff)
-                report.add(
-                    f"creators commute j={j},k={k} level {n}",
-                    linalg.within(dev, cap.backend, cap.tol),
-                    deviation=dev,
-                )
+                _check(report, cap, f"creators commute j={j},k={k} level {n}", dev)
             for n in range(min(cap.N - 1, cap.alpha_levels)):
                 # needs Azero at n and n+1, Aplus at n and n+1
                 diff = _msub(
@@ -246,11 +206,7 @@ def verify_commutators(cap: CapOperators):
                     ),
                 )
                 dev = _seminorm_dev(cap.grams[n + 1], diff)
-                report.add(
-                    f"creation-preservation commutator j={j},k={k} level {n}",
-                    linalg.within(dev, cap.backend, cap.tol),
-                    deviation=dev,
-                )
+                _check(report, cap, f"creation-preservation commutator j={j},k={k} level {n}", dev)
             for n in range(min(cap.N, cap.alpha_levels + 1)):
                 # [a+_j, a-_k] + [a0_j, a0_k] + [a-_j, a+_k] restricted to level n
                 terms = []
@@ -268,11 +224,7 @@ def verify_commutators(cap: CapOperators):
                 for t in terms[1:]:
                     total = _madd(total, t)
                 dev = _seminorm_dev(cap.grams[n], total)
-                report.add(
-                    f"mixed commutator j={j},k={k} level {n}",
-                    linalg.within(dev, cap.backend, cap.tol),
-                    deviation=dev,
-                )
+                _check(report, cap, f"mixed commutator j={j},k={k} level {n}", dev)
     return report
 
 

@@ -1,31 +1,31 @@
 """Orthogonal gradation of the polynomial algebra induced by a moment functional.
 
-Level n is spanned by the monic polynomials
+Level n is spanned by monic polynomials p_{n,m} = X^m + (degree < n), one
+per multi-index m of degree n, orthogonal to every lower degree and held as
+coefficient rows P_n over the monomials of degree <= n.  They come from the
+three-term recurrence (the multivariate Favard lemma; in one dimension the
+modified Chebyshev algorithm, Gautschi 2004, section 2.1.7), with j the
+first nonzero coordinate of m and x_j p_{n-1} orthogonal below degree n-2:
 
-    p_{n,m} = X^m - (projection of X^m onto all earlier levels),
+    p_{n,m} = x_j p_{n-1,m-e_j} - Azero[j][n-1]^T P_{n-1} - Aminus[j][n-1]^T P_{n-2}.
 
-one per multi-index m of degree n, held as coefficient rows P_n over the
-monomials of degree <= n.  Each level keeps its modified moments R_n = P_n H
-(H = [phi(x^a x^b)] the moment matrix), so it pairs with a coefficient row
-q as R_n q^T: X^m pairs with level k as column m of R_k; G_n = R_n P_n^T is
-the diagonal block D_n of the block LDL^T factorization of H, whose L^{-1}
-has the rows P_0..P_N; and x_j P_n pairs as R_n (x_j P_n)^T (module cap).
-The projection onto level k solves G_k c = R_k e_m for the minimum
-Euclidean norm coefficient vector, so degenerate levels (singular G_k) are
-handled without quotienting: the representative is the one supported on
-the orthogonal complement of ker G_k in coefficient space.  The
-polynomials stay exactly monic; all degeneracy lives in the Gram
-matrices.  Levels are mutually orthogonal by construction, exactly so on
-the exact backend even when Gram matrices are singular, because the
-projection systems are always consistent for a positive functional.
+Each level keeps its modified moments R_n = P_n H (H = [phi(x^a x^b)] the
+moment matrix) and pairs with a coefficient row q as R_n q^T: R_n vanishes
+below degree n, its level-n columns are the Gram G_n (the block D_n of the
+block LDL^T of H, whose L^{-1} has the rows P_0..P_N), and x_j P_n pairs as
+R_n (x_j P_n)^T.  build_gradation is one sweep: level n from the two
+below, G_n off R_n, then the CAP blocks G_n completes (module cap).  They
+are minimum-norm solutions, so degenerate levels (singular G_n) keep
+exactly monic polynomials and all degeneracy lives in the Grams.  Exact
+levels are orthogonal exactly.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
+from . import cap, linalg
 from .errors import PositivityError
-from .mindex import enumerate_level, enumerate_upto
+from .mindex import creation_shift, enumerate_level, enumerate_upto
 from .moments import MomentFunctional, check_state_positivity, moment_matrix
 from .poly import Polynomial
 from .reports import Report
@@ -65,13 +65,17 @@ class GradedLevel:
 
 @dataclass
 class GradedBasis:
-    """Levels 0..N of the gradation for one moment functional."""
+    """Levels 0..N of a moment functional's gradation and, as in cap.CapOperators, its blocks."""
 
     phi: MomentFunctional
     N: int
     tol: float
     levels: list = field(default_factory=list)
     positivity: Report = None  # the state positivity check run before the build
+    aplus: dict = field(default_factory=dict)
+    azero: dict = field(default_factory=dict)
+    aminus: dict = field(default_factory=dict)
+    alpha_levels: int = -1
 
     @property
     def d(self):
@@ -102,17 +106,18 @@ class GradedBasis:
 
 
 def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> GradedBasis:
-    """Construct levels 0..N for phi.
+    """Construct levels 0..N for phi and the CAP blocks between them in one sweep.
 
     Needs moments to degree 2N and a positive state; positivity of the
     monomial Gram matrices up to degree N is checked first and failures
-    raise PositivityError naming the failing degree.
+    raise PositivityError naming the failing degree.  Azero at level N
+    needs degree 2N+1 and is omitted (alpha_levels = N-1) on a 2N budget.
     """
     pos = check_state_positivity(phi, N, tol)
     if not pos.ok:
         bad = pos.first_failure()
         raise PositivityError(f"moment functional is not positive: {bad.label}")
-    gb = GradedBasis(phi=phi, N=N, tol=tol, positivity=pos)
+    gb = GradedBasis(phi, N, tol, positivity=pos, alpha_levels=min(N, (phi.max_degree - 1) // 2))
     scale = 1.0
     if phi.backend == "float":
         scale = max(1.0, max(abs(float(v)) for v in phi.values.values()))
@@ -122,17 +127,12 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         idxs = enumerate_level(phi.d, n)
         low = len(enumerate_upto(phi.d, n - 1))  # level-n monomials are the last columns
         width = low + len(idxs)
-        rows = [[int(c == low + i) for c in range(width)] for i in range(len(idxs))]  # the X^m
-        for lvl in gb.levels:
-            # one min-norm solve per earlier level; X^m pairs with it as column m of R_k
-            rhs = [[r[c] for r in lvl.mods] for c in range(low, width)]
-            sols = linalg.solve_min_norm(lvl.gram, rhs, phi.backend, tol)
-            for row, corr in zip(rows, linalg.mat_mul(sols, lvl.coeffs)):
-                row[: len(corr)] = [x - c for x, c in zip(row, corr)]
+        rows = _recurrence_rows(gb, idxs) if n else [[1]]
         cols = len(enumerate_upto(phi.d, min(max(N, n + 1), phi.max_degree - n)))
         mods = linalg.mat_mul(rows, moment_matrix(phi, monos[:width], monos[:cols]))
-        g = linalg.mat_mul([r[:width] for r in mods], linalg.transpose(rows))
+        # G_n = R_n P_n^T is R_n on the level-n columns (P_n monic, R_n zero below);
         # (G + G^T)/2 is a no-op on exact data and makes float Grams exactly symmetric
+        g = [r[low:width] for r in mods]
         g = [[(cast(x) + cast(y)) / 2 for x, y in zip(row, col)] for row, col in zip(g, zip(*g))]
         # a float level whose whole Gram sits below the moment scale is
         # cancellation noise around a true zero; its own largest eigenvalue
@@ -144,7 +144,41 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         gb.levels.append(
             GradedLevel(n=n, indices=idxs, coeffs=rows, mods=mods, gram=g, kernel=kern, rank=rank)
         )
+        _solve_blocks(gb, n)
     return gb
+
+
+def _recurrence_rows(gb: GradedBasis, idxs):
+    """P_n from the two levels below: x_j p_{n-1,m-e_j} less its images there."""
+    n = sum(idxs[0])
+    first = [next(j for j, k in enumerate(m, start=1) if k) for m in idxs]
+    down = [m[: j - 1] + (m[j - 1] - 1,) + m[j:] for m, j in zip(idxs, first)]
+    src = [gb.levels[n - 1].indices.index(m) for m in down]
+    shifted = {j: gb.times_x(j, n - 1) for j in set(first)}
+    rows = [shifted[j][s] for j, s in zip(first, src)]
+    for blocks, k in ((gb.azero, n - 1), (gb.aminus, n - 2)):
+        if k >= 0:  # column m is column m - e_j of coordinate j's block out of level n-1
+            mats = [blocks[j][n - 1] for j in first]
+            block = [[a[r][s] for a, s in zip(mats, src)] for r in range(len(mats[0]))]
+            cap._subtract_image(rows, block, gb.levels[k].coeffs)
+    return rows
+
+
+def _solve_blocks(gb: GradedBasis, n):
+    """Aplus[j][n-1], Aminus[j][n] and Azero[j][n]: the CAP blocks G_n completes."""
+    g, grams, backend, tol = gb.levels[n].gram, [lvl.gram for lvl in gb.levels], gb.backend, gb.tol
+    for j in range(1, gb.d + 1):
+        if n == 0:  # Aminus[j][0] is empty: no level below the vacuum
+            gb.aplus[j], gb.azero[j], gb.aminus[j] = [], [], [[]]
+        if n:  # <p_n, x_j p_{n-1}> = G_n S_{j,n-1}
+            up = linalg.mat_mul(g, creation_shift(gb.d, n - 1, j))
+            gb.aplus[j].append(cap._solve(g, up, backend, tol))
+            gb.aminus[j].append(cap.annihilator(grams, gb.d, j, n, backend, tol))
+        if n <= gb.alpha_levels:  # <p_n, x_j p_n> = R_n (x_j P_n)^T
+            xp = gb.times_x(j, n)
+            mods = [r[: len(xp[0])] for r in gb.levels[n].mods]
+            pairing = linalg.mat_mul(mods, linalg.transpose(xp))
+            gb.azero[j].append(cap._solve(g, pairing, backend, tol))
 
 
 def project_onto_level(gb: GradedBasis, q: Polynomial, n: int):

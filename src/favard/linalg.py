@@ -251,20 +251,19 @@ def _np(a):
     return np.array(a, dtype=float).reshape(len(a), len(a[0]) if a else 0)
 
 
-def _solve_min_norm_float(a, b_cols, tol, check_consistency=False):
+def _solve_min_norm_float(a, b_cols, tol):
     am = _np(a)
     bm = np.array(b_cols, dtype=float).T if b_cols else np.zeros((len(a), 0))
     if am.size == 0:
         return [[0.0] * (len(a[0]) if a else 0) for _ in b_cols]
     x, *_ = np.linalg.lstsq(am, bm, rcond=tol)
-    if check_consistency:
-        resid = am @ x - bm
-        scale = max(np.abs(am).max(), np.abs(bm).max() if bm.size else 0.0, 1.0)
-        worst = np.abs(resid).max() if resid.size else 0.0
-        if worst > tol * scale:
-            raise InconsistentSystemError(
-                f"least-squares residual {worst:.3e} exceeds tolerance {tol * scale:.3e}"
-            )
+    resid = am @ x - bm
+    scale = max(np.abs(am).max(), np.abs(bm).max() if bm.size else 0.0, 1.0)
+    worst = np.abs(resid).max() if resid.size else 0.0
+    if worst > tol * scale:
+        raise InconsistentSystemError(
+            f"least-squares residual {worst:.3e} exceeds tolerance {tol * scale:.3e}"
+        )
     return [list(map(float, x[:, t])) for t in range(x.shape[1])]
 
 
@@ -305,18 +304,18 @@ def _check_backend(backend):
         raise ValueError(f"backend must be 'exact' or 'float', got {backend!r}")
 
 
-def solve_min_norm(a, b_cols, backend, tol=DEFAULT_TOL, check_consistency=True):
+def solve_min_norm(a, b_cols, backend, tol=DEFAULT_TOL):
     """Minimum-norm solutions X of a X = B, one column vector per entry of b_cols.
 
-    The exact backend requires consistency and raises otherwise; the float
-    backend checks the residual only when check_consistency is set.
+    Both backends raise InconsistentSystemError when none exists (float: a
+    least-squares residual above tol times the largest entry, at least 1).
     """
     _check_backend(backend)
     if not b_cols:
         return []
     if backend == "exact":
         return _solve_min_norm_exact(a, b_cols)
-    return _solve_min_norm_float(a, b_cols, tol, check_consistency=check_consistency)
+    return _solve_min_norm_float(a, b_cols, tol)
 
 
 def nullspace(g, backend, tol=DEFAULT_TOL):

@@ -7,6 +7,7 @@ import pytest
 
 import favard.fock
 import favard.jacobi
+import favard.linalg
 from favard.cap import extract_cap
 from favard.errors import FileFormatError
 from favard.fock import build_fock
@@ -109,6 +110,46 @@ def test_creation_pairing_is_the_gram_times_the_index_shift(name, d, N, atoms):
                 pairing = _form(gb.level(n + 1).coeffs, loc, rows)
                 assert pairing == mat_mul(gb.level(n + 1).gram, creation_shift(d, n, j))
             assert _form(rows, loc, rows) == mat_mul(gb.level(n).gram, cap.azero[j][n])
+
+
+@pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
+def test_levels_follow_the_three_term_recurrence(name, d, N, atoms):
+    # row m of P_{n+1} is x_j p_{n,m-e_j} - Azero^T P_n - Aminus^T P_{n-1} at
+    # column m - e_j, j the first nonzero coordinate of m; sums written out
+    phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
+    for n in range(N):
+        below = enumerate_upto(d, n)
+        for m, row in zip(enumerate_level(d, n + 1), gb.level(n + 1).coeffs):
+            j = next(i for i, k in enumerate(m, start=1) if k)
+            e_j = tuple(int(i == j) for i in range(1, d + 1))
+            src = gb.level(n).indices.index(tuple(x - y for x, y in zip(m, e_j)))
+            expect = dict.fromkeys(enumerate_upto(d, n + 1), 0)
+            for c, a in zip(gb.level(n).coeffs[src], below):
+                expect[tuple(x + y for x, y in zip(a, e_j))] += c
+            for k, block in ((n, cap.azero[j][n]), (n - 1, cap.aminus[j][n])):
+                for r, lower in enumerate(gb.level(k).coeffs if k >= 0 else []):
+                    for c, a in zip(lower, enumerate_upto(d, k)):
+                        expect[a] -= block[r][src] * c
+            assert row == list(expect.values())
+
+
+@pytest.mark.parametrize("name,d,N", [("gaussian_product", 2, 4), ("circle_uniform", 2, 5)])
+@pytest.mark.parametrize("budget", [0, 1])
+def test_each_cap_block_is_solved_once(monkeypatch, name, d, N, budget):
+    # d (N Aplus + N Aminus + alpha_levels + 1 Azero) solves and no others;
+    # projecting each X^m onto every earlier level would add N (N + 1) / 2
+    calls = []
+    solve = favard.linalg.solve_min_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(favard.linalg, "solve_min_norm", counted)
+    gb = build_gradation(from_catalog(name, d, 2 * N + budget), N)
+    cap = extract_cap(gb)
+    assert cap.alpha_levels == N - 1 + budget
+    assert len(calls) == d * (2 * N + cap.alpha_levels + 1)
 
 
 @pytest.mark.parametrize("budget", ["2N", "2N+1"])

@@ -87,12 +87,6 @@ def test_inconsistent_system_detected():
         solve_min_norm(af, [[1.0, 2.0]], "float")
 
 
-def test_inconsistency_check_can_be_disabled():
-    af = [[1.0, 0.0], [1.0, 0.0]]
-    (x,) = solve_min_norm(af, [[1.0, 2.0]], "float", check_consistency=False)
-    assert abs(x[0] - 1.5) < 1e-12
-
-
 def test_min_norm_float_matches_exact():
     a = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
     b = [Fraction(1), Fraction(2)]
