@@ -3,7 +3,8 @@
 Everything is configured by flags (no environment variables), reports are
 JSON on stdout plus a human summary on stderr, and files are written
 atomically.  Exit codes are the API: 0 all checks passed, 1 a verification
-failed, 2 bad input or usage.
+failed, 2 bad input or usage, 3 numerical breakdown (a float solve failed on
+valid input; the exact backend or a smaller N may succeed).
 """
 
 import argparse
@@ -14,6 +15,7 @@ from fractions import Fraction
 from . import linalg
 from ._util import atomic_write_text, parse_float
 from .errors import AdjointInconsistencyError, FavardError, FileFormatError
+from .errors import NumericalBreakdownError
 from .fock import _assemble_fock, build_fock, roundtrip_report, vacuum_moments
 from .jacobi import analyze, jacobi_file_text, load_jacobi_file, verify_favard_conditions
 from .moments import (
@@ -30,6 +32,7 @@ __all__ = ["main", "cmd_decompose", "cmd_reconstruct", "cmd_verify", "cmd_roundt
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_BREAKDOWN = 3
 
 
 def _parser():
@@ -259,7 +262,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (FavardError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_BREAKDOWN if isinstance(exc, NumericalBreakdownError) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -36,3 +36,7 @@ class WordLengthError(FavardError):
 
 class InconsistentSystemError(FavardError):
     """An exact linear system that should be consistent has no solution."""
+
+
+class NumericalBreakdownError(FavardError):
+    """A float solve failed that exact arithmetic solves for the (positive) input."""

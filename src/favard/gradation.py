@@ -17,14 +17,16 @@ R_n (x_j P_n)^T.  build_gradation is one sweep: level n from the two
 below, G_n off R_n, then the CAP blocks G_n completes (module cap).  They
 are minimum-norm solutions, so degenerate levels (singular G_n) keep
 exactly monic polynomials and all degeneracy lives in the Grams.  Exact
-levels are orthogonal exactly.
+levels are orthogonal exactly; a float solve whose residual fails raises
+NumericalBreakdownError.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cap, linalg
-from .errors import PositivityError
+from .errors import AdjointInconsistencyError, InconsistentSystemError
+from .errors import NumericalBreakdownError, PositivityError
 from .mindex import creation_shift, enumerate_level, enumerate_upto
 from .moments import MomentFunctional, check_state_positivity, moment_matrix
 from .poly import Polynomial
@@ -170,15 +172,21 @@ def _solve_blocks(gb: GradedBasis, n):
     for j in range(1, gb.d + 1):
         if n == 0:  # Aminus[j][0] is empty: no level below the vacuum
             gb.aplus[j], gb.azero[j], gb.aminus[j] = [], [], [[]]
-        if n:  # <p_n, x_j p_{n-1}> = G_n S_{j,n-1}
-            up = linalg.mat_mul(g, creation_shift(gb.d, n - 1, j))
-            gb.aplus[j].append(cap._solve(g, up, backend, tol))
-            gb.aminus[j].append(cap.annihilator(grams, gb.d, j, n, backend, tol))
-        if n <= gb.alpha_levels:  # <p_n, x_j p_n> = R_n (x_j P_n)^T
-            xp = gb.times_x(j, n)
-            mods = [r[: len(xp[0])] for r in gb.levels[n].mods]
-            pairing = linalg.mat_mul(mods, linalg.transpose(xp))
-            gb.azero[j].append(cap._solve(g, pairing, backend, tol))
+        try:
+            if n:  # <p_n, x_j p_{n-1}> = G_n S_{j,n-1}
+                up = linalg.mat_mul(g, creation_shift(gb.d, n - 1, j))
+                gb.aplus[j].append(cap._solve(g, up, backend, tol))
+                gb.aminus[j].append(cap.annihilator(grams, gb.d, j, n, backend, tol))
+            if n <= gb.alpha_levels:  # <p_n, x_j p_n> = R_n (x_j P_n)^T
+                xp = gb.times_x(j, n)
+                mods = [r[: len(xp[0])] for r in gb.levels[n].mods]
+                pairing = linalg.mat_mul(mods, linalg.transpose(xp))
+                gb.azero[j].append(cap._solve(g, pairing, backend, tol))
+        except (InconsistentSystemError, AdjointInconsistencyError) as exc:
+            if backend == "exact":
+                raise
+            where = f"float gradation broke down at level {n}, coordinate {j}"
+            raise NumericalBreakdownError(f"{where}: {exc.__cause__ or exc}") from exc
 
 
 def project_onto_level(gb: GradedBasis, q: Polynomial, n: int):

@@ -163,6 +163,27 @@ def test_float_uniform_box_n11_returns_an_exit_code(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("measure,N,level", [
+    ("exponential_product", 7, 3),
+    ("gaussian_product", 11, 2),
+])
+def test_float_breakdown_is_exit_three(capsys, measure, N, level):
+    # valid input whose float sweep fails a least-squares solve is neither a
+    # failed check (1) nor bad input (2), and no data is blamed for it
+    code, out, err = run(capsys, "verify", "--backend", "float", "--measure", measure,
+                         "--d", "1", "--N", str(N))
+    assert code == 3 and out == ""
+    assert f"at level {level}, coordinate 1: least-squares residual" in err
+    assert "adjoint" not in err
+
+
+def test_float_exponential_below_the_breakdown_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--backend", "float", "--measure",
+                       "exponential_product", "--d", "1", "--N", "6")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_bad_moment_file_is_exit_two(tmp_path, capsys):
     f = tmp_path / "bad.moments.json"
     f.write_text(json.dumps({
