@@ -22,6 +22,7 @@ from .errors import (
     FileFormatError,
     InconsistentSystemError,
     MomentDegreeError,
+    NumericalBreakdownError,
     PositivityError,
     WordLengthError,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "MeasureAnalysis",
     "MomentDegreeError",
     "MomentFunctional",
+    "NumericalBreakdownError",
     "Polynomial",
     "PositivityError",
     "Report",

@@ -17,27 +17,29 @@ extract_cap only copies them out.
 Each block solves G_target X = B for the pairing B of the target level
 with x_j times the source level.  Creation needs no moments beyond the
 Grams: x_j p_{n,m} = p_{n+1,m+e_j} + (degree <= n), and level n+1 is
-orthogonal to every lower degree, so B = G_{n+1} S_{j,n} with S_{j,n} the
-0/1 index shift m -> m + e_j (mindex.creation_shift).  Annihilation is
-the G-weighted adjoint of the index shift, G_{n-1} X = S_{j,n-1}^T G_n;
-annihilator solves that system for the forward direction and the Fock
-reconstruction alike (module fock), and it is consistent exactly when
-kernel vectors of G_{n-1} lift into ker G_n.  Preservation pairs the
-level's modified moments R_n = P_n H with x_j P_n: B = R_n (x_j P_n)^T,
-which needs moments to degree 2n+1, so the top level N carries Azero
-only when the budget reaches 2N+1 (alpha_levels records how far).  Each
-column is the minimum-norm solution, so on degenerate levels the
-representative supported on the kernel complement is chosen (Aplus is S
-followed by the projector onto range G_{n+1}); identities involving
-adjoints hold in the G-weighted sense, never entrywise.  Aminus[j][0] is
-the empty matrix (the vacuum has no level below).
+orthogonal to every lower degree, so B = G_{n+1} S_{j,n}, the columns
+m + e_j of G_{n+1}: the index shift S_{j,n} is the position table
+mindex.shift_index, and every product by it is a gather.  Annihilation is
+the G-weighted adjoint of the index shift, G_{n-1} X = S_{j,n-1}^T G_n
+with the rows m + e_j of G_n on the right; annihilator solves that system
+for the forward direction and the Fock reconstruction alike (module fock),
+and it is consistent exactly when kernel vectors of G_{n-1} lift into
+ker G_n.  Preservation pairs the level's modified moments R_n = P_n H
+with x_j P_n: B = R_n (x_j P_n)^T, which needs moments to degree 2n+1,
+so the top level N carries Azero only when the budget reaches 2N+1
+(alpha_levels records how far).  Each column is the minimum-norm
+solution, so on degenerate levels the representative supported on the
+kernel complement is chosen (Aplus is S followed by the projector onto
+range G_{n+1}); identities involving adjoints hold in the G-weighted
+sense, never entrywise.  Aminus[j][0] is the empty matrix (the vacuum
+has no level below).
 """
 
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import AdjointInconsistencyError, InconsistentSystemError
-from .mindex import creation_shift
+from .mindex import shift_index
 from .reports import Report
 
 __all__ = [
@@ -83,7 +85,7 @@ def annihilator(gomega, d, j, n, backend, tol):
     AdjointInconsistencyError is raised, when a kernel vector of
     Gomega_{n-1} does not lift into ker Gomega_n.
     """
-    rhs = linalg.mat_mul(linalg.transpose(creation_shift(d, n - 1, j)), gomega[n])
+    rhs = [gomega[n][s] for s in shift_index(d, n - 1, j)]  # the rows m + e_j of Gomega_n
     try:
         sols = linalg.solve_min_norm(gomega[n - 1], linalg.transpose(rhs), backend, tol)
     except InconsistentSystemError as exc:

@@ -4,11 +4,12 @@ The space is the graded sum of symmetric tensor powers of R^d carrying the
 level metrics Gomega_n; the vacuum spans level 0.  Field operators per
 coordinate j:
 
-    creation      Aplus[j][n]  : the combinatorial index shift m -> m + e_j
+    creation      S_{j,n}      : the index shift m -> m + e_j, a scatter by
+        the position table mindex.shift_index; no matrix is formed
     preservation  alpha[j][n]  : copied from the Jacobi data
     annihilation  Aminus[j][n] : the Gomega-weighted adjoint of creation,
         cap.annihilator, the same solve the forward direction uses:
-        Gomega_{n-1} Aminus[j][n] = Aplus[j][n-1]^T Gomega_n, minimum-norm
+        Gomega_{n-1} Aminus[j][n] = S_{j,n-1}^T Gomega_n, minimum-norm
         column by column, with Aminus[j][0] = 0 on the vacuum.
 
 The adjoint system is consistent exactly when kernel vectors of Gomega_n
@@ -18,7 +19,7 @@ creator then has no adjoint.  build_fock is the admissibility gate in front
 of the construction; callers that already hold a favard-conditions report
 for the sequence (analyze, verify of a Jacobi file) build without it.
 
-The coordinate field operator X_j = Aplus_j + alpha_j + Aminus_j applied to
+The coordinate field operator X_j = S_j + alpha_j + Aminus_j applied to
 the vacuum reproduces the source moments: vacuum expectations of words in
 the field operators equal the moments of the corresponding monomials.
 The moment of m is the vacuum expectation of its ascending word
@@ -36,7 +37,7 @@ from .cap import annihilator, extract_cap
 from .errors import FavardConditionError, WordLengthError
 from .gradation import build_gradation
 from .jacobi import JacobiSequence, extract_jacobi, verify_favard_conditions
-from .mindex import creation_shift, enumerate_level
+from .mindex import enumerate_level, shift_index
 from .reports import Report
 
 __all__ = [
@@ -62,11 +63,10 @@ class FockSpace:
 
 @dataclass
 class FieldOperators:
-    """Creation, preservation and annihilation blocks per coordinate."""
+    """Preservation and annihilation blocks per coordinate; creation is mindex.shift_index."""
 
     d: int
     N: int
-    aplus: dict
     alpha: dict
     aminus: dict
     alpha_levels: int
@@ -88,26 +88,13 @@ def build_fock(js: JacobiSequence, tol=None):
 
 def _assemble_fock(js: JacobiSequence, tol):
     """build_fock without the admissibility gate."""
-    one = 1 if js.backend == "exact" else 1.0
-    aplus = {}
-    aminus = {}
-    for j in range(1, js.d + 1):
-        aplus[j] = [
-            [[x * one for x in row] for row in creation_shift(js.d, n, j)] for n in range(js.N)
-        ]
-        aminus[j] = [[]] + [  # nothing below the vacuum
-            annihilator(js.gomega, js.d, j, n, js.backend, tol) for n in range(1, js.N + 1)
-        ]
+    aminus = {  # nothing below the vacuum
+        j: [[]] + [annihilator(js.gomega, js.d, j, n, js.backend, tol) for n in range(1, js.N + 1)]
+        for j in range(1, js.d + 1)
+    }
+    alpha = {j: list(mats) for j, mats in js.alpha.items()}
     fock = FockSpace(d=js.d, N=js.N, backend=js.backend, gomega=js.gomega, tol=tol)
-    ops = FieldOperators(
-        d=js.d,
-        N=js.N,
-        aplus=aplus,
-        alpha={j: list(mats) for j, mats in js.alpha.items()},
-        aminus=aminus,
-        alpha_levels=js.alpha_levels,
-    )
-    return fock, ops
+    return fock, FieldOperators(js.d, js.N, alpha, aminus, js.alpha_levels)
 
 
 def _check_word_length(ops: FieldOperators, k: int) -> None:
@@ -122,15 +109,14 @@ def _field_step(ops: FieldOperators, j: int, state: dict, reach: int) -> dict:
     """X_j on a graded state; a level above reach, the letters left to act, is never formed."""
     new = {}
 
-    def _add(level, vec):
-        if level in new:
-            new[level] = [a + b for a, b in zip(new[level], vec)]
-        else:
-            new[level] = list(vec)
+    def _add(level, vec, at=None):  # at: the positions of vec's entries in the level
+        out = new.setdefault(level, [0] * len(enumerate_level(ops.d, level)))
+        for i, x in zip(at or range(len(out)), vec):
+            out[i] += x
 
     for lvl, vec in state.items():
-        if lvl < ops.N and lvl < reach:
-            _add(lvl + 1, linalg.mat_vec(ops.aplus[j][lvl], vec))
+        if lvl < ops.N and lvl < reach:  # creation: entry m goes to m + e_j
+            _add(lvl + 1, vec, shift_index(ops.d, lvl, j))
         if lvl <= ops.alpha_levels and lvl <= reach:
             _add(lvl, linalg.mat_vec(ops.alpha[j][lvl], vec))
         if 1 <= lvl <= reach + 1:

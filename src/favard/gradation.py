@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import cap, linalg
 from .errors import AdjointInconsistencyError, InconsistentSystemError
 from .errors import NumericalBreakdownError, PositivityError
-from .mindex import creation_shift, enumerate_level, enumerate_upto
+from .mindex import enumerate_level, enumerate_upto, index_position, shift_index
 from .moments import MomentFunctional, check_state_positivity, moment_matrix
 from .poly import Polynomial
 from .reports import Report
@@ -92,12 +92,13 @@ class GradedBasis:
 
     def times_x(self, j, n):
         """Coefficient rows of x_j p_{n,m} over the monomials of degree <= n + 1."""
-        monos = enumerate_upto(self.d, n + 1)
-        pos = {m: i for i, m in enumerate(monos)}
-        rows = [[0] * len(monos) for _ in self.levels[n].coeffs]
+        # m + e_j of level k sits in level k + 1, which starts at len(enumerate_upto(d, k))
+        to = [len(enumerate_upto(self.d, k)) + s for k in range(n + 1)
+              for s in shift_index(self.d, k, j)]
+        rows = [[0] * len(enumerate_upto(self.d, n + 1)) for _ in self.levels[n].coeffs]
         for row, p in zip(rows, self.levels[n].coeffs):
-            for m, c in zip(monos, p):
-                row[pos[m[: j - 1] + (m[j - 1] + 1,) + m[j:]]] = c
+            for t, c in zip(to, p):
+                row[t] = c
         return rows
 
     def pairing(self, a, b):
@@ -155,7 +156,8 @@ def _recurrence_rows(gb: GradedBasis, idxs):
     n = sum(idxs[0])
     first = [next(j for j, k in enumerate(m, start=1) if k) for m in idxs]
     down = [m[: j - 1] + (m[j - 1] - 1,) + m[j:] for m, j in zip(idxs, first)]
-    src = [gb.levels[n - 1].indices.index(m) for m in down]
+    pos = index_position(gb.d, n - 1)
+    src = [pos[m] for m in down]
     shifted = {j: gb.times_x(j, n - 1) for j in set(first)}
     rows = [shifted[j][s] for j, s in zip(first, src)]
     for blocks, k in ((gb.azero, n - 1), (gb.aminus, n - 2)):
@@ -173,8 +175,9 @@ def _solve_blocks(gb: GradedBasis, n):
         if n == 0:  # Aminus[j][0] is empty: no level below the vacuum
             gb.aplus[j], gb.azero[j], gb.aminus[j] = [], [], [[]]
         try:
-            if n:  # <p_n, x_j p_{n-1}> = G_n S_{j,n-1}
-                up = linalg.mat_mul(g, creation_shift(gb.d, n - 1, j))
+            if n:  # <p_n, x_j p_{n-1}> = G_n S_{j,n-1}: the columns m + e_j of G_n
+                shift = shift_index(gb.d, n - 1, j)
+                up = [[row[s] for s in shift] for row in g]
                 gb.aplus[j].append(cap._solve(g, up, backend, tol))
                 gb.aminus[j].append(cap.annihilator(grams, gb.d, j, n, backend, tol))
             if n <= gb.alpha_levels:  # <p_n, x_j p_n> = R_n (x_j P_n)^T

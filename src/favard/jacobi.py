@@ -13,9 +13,10 @@ own data:
 
 the second because Azero[j][n] vanishes on ker G_n.  The pair
 (Gomega, alpha) is the complete reconstruction datum and the one hand-off
-between the two directions: together with the combinatorial index-shift
-creators and their Gomega-weighted adjoints (cap.annihilator) it rebuilds
-every moment (module fock).
+between the two directions: together with the index-shift creators
+(mindex.shift_index, a scatter on the tensor levels) and their
+Gomega-weighted adjoints (cap.annihilator) it rebuilds every moment
+(module fock).
 
 The operator form Omega_n = T_n^{-1} Gomega_n (T_n the diagonal tensor
 metric m!/n!) is derived on demand; the serialized object is always the
@@ -49,7 +50,7 @@ from ._util import atomic_write_text, format_matrix, parse_matrix
 from .cap import CapOperators
 from .errors import FileFormatError
 from .gradation import GradedBasis
-from .mindex import creation_shift, enumerate_level, level_dimension, tensor_metric
+from .mindex import enumerate_level, level_dimension, shift_index, tensor_metric
 from .reports import Report
 
 __all__ = [
@@ -172,10 +173,10 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
         kern = linalg.nullspace(js.gomega[n], js.backend, tol)
         worst = 0
         for v in kern:
-            for j in range(1, js.d + 1):
-                shift = creation_shift(js.d, n, j)
-                lifted = linalg.mat_vec(shift, v)
-                image = linalg.mat_vec(js.gomega[n + 1], lifted)
+            for j in range(1, js.d + 1):  # Gomega_{n+1} S v: its columns m + e_j times v
+                shift = shift_index(js.d, n, j)
+                cols = [[row[s] for s in shift] for row in js.gomega[n + 1]]
+                image = linalg.mat_vec(cols, v)
                 dev = max((abs(x) for x in image), default=0)
                 if dev > worst:
                     worst = dev

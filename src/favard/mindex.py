@@ -30,6 +30,7 @@ __all__ = [
     "enumerate_upto",
     "index_position",
     "tensor_metric",
+    "shift_index",
     "creation_shift",
     "multi_factorial",
 ]
@@ -118,23 +119,24 @@ def tensor_metric(d: int, n: int) -> LevelBasis:
     return LevelBasis(d=d, n=n, indices=idxs, metric_diag=diag)
 
 
-def creation_shift(d: int, n: int, j: int):
-    """0/1 matrix of the index shift m -> m + e_j from level n to level n+1.
+@lru_cache(maxsize=None)
+def shift_index(d: int, n: int, j: int) -> tuple:
+    """Position in level n+1 of m + e_j for each m of level n: the creator S_{j,n}.
 
-    This is the matrix of the elementary symmetric creation operator in the
+    S_{j,n} is the elementary symmetric creation operator in the
     occupation-number basis under the averaging symmetrizer convention.
-    Coordinates are 1-based: 1 <= j <= d.
+    Adding e_j keeps graded-lex order, so the positions ascend and a product
+    by the shift, done as a gather or a scatter, adds the terms of the dense
+    product in the same order.  Coordinates are 1-based: 1 <= j <= d.
     """
     _check_d(d)
     if not 1 <= j <= d:
         raise ValueError(f"coordinate j must satisfy 1 <= j <= {d}, got {j}")
-    src = enumerate_level(d, n)
     pos = index_position(d, n + 1)
-    rows = level_dimension(d, n + 1)
-    cols = len(src)
-    mat = [[0] * cols for _ in range(rows)]
-    for c, m in enumerate(src):
-        lifted = list(m)
-        lifted[j - 1] += 1
-        mat[pos[tuple(lifted)]][c] = 1
-    return mat
+    return tuple(pos[m[: j - 1] + (m[j - 1] + 1,) + m[j:]] for m in enumerate_level(d, n))
+
+
+def creation_shift(d: int, n: int, j: int):
+    """0/1 matrix of the index shift m -> m + e_j from level n to level n+1."""
+    shift = shift_index(d, n, j)
+    return [[int(s == r) for s in shift] for r in range(level_dimension(d, n + 1))]

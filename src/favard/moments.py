@@ -218,6 +218,14 @@ def _atomic_moments(pts, wts, d, max_degree):
     return values
 
 
+def _check_weights(weights, kind):
+    """Refuse a negative weight and weights that sum to zero (all zero, once nonnegative)."""
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{kind} weights must be nonnegative")
+    if not any(weights):
+        raise ValueError(f"{kind} weights sum to zero")
+
+
 def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
     """Moment functional of a named catalog measure.
 
@@ -248,14 +256,10 @@ def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
             point = tuple(Fraction(x) for x in point)
             if len(point) != d:
                 raise ValueError(f"atom {point} has length {len(point)}, expected {d}")
-            weight = Fraction(weight)
-            if weight < 0:
-                raise ValueError("atom weights must be nonnegative")
             pts.append(point)
-            wts.append(weight)
+            wts.append(Fraction(weight))
+        _check_weights(wts, "atom")
         total = sum(wts)
-        if total == 0:
-            raise ValueError("atom weights sum to zero")
         values = _atomic_moments(pts, [w / total for w in wts], d, max_degree)
     if backend == "float":
         values = {m: float(v) for m, v in values.items()}
@@ -294,19 +298,16 @@ def from_samples(points, max_degree, weights=None, backend=None):
     if backend == "exact":
         pts = [tuple(Fraction(x) for x in p) for p in pts]
         weights = [Fraction(w) for w in weights]
+        _check_weights(weights, "sample")
         total = sum(weights)
-        if total == 0:
-            raise ValueError("weights sum to zero")
         values = _atomic_moments(pts, [w / total for w in weights], d, max_degree)
     else:
         import numpy as np
 
         arr = np.asarray(pts, dtype=float)
         w = np.asarray([float(x) for x in weights], dtype=float)
-        total = w.sum()
-        if total == 0:
-            raise ValueError("weights sum to zero")
-        w = w / total
+        _check_weights(w, "sample")
+        w = w / w.sum()
         values = {}
         for m in enumerate_upto(d, max_degree):
             prod = np.ones(len(arr))

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import favard.fock
 from favard.cli import main
+from favard.errors import AdjointInconsistencyError
 from favard.jacobi import jacobi_file_text, load_jacobi_file
 from favard.moments import from_catalog, save_moment_file
 
@@ -177,6 +179,11 @@ def test_float_breakdown_is_exit_three(capsys, measure, N, level):
     assert "adjoint" not in err
 
 
+def test_breakdown_error_is_exported():
+    assert "NumericalBreakdownError" in favard.__all__
+    assert issubclass(favard.NumericalBreakdownError, favard.FavardError)
+
+
 def test_float_exponential_below_the_breakdown_passes(capsys):
     code, out, _ = run(capsys, "verify", "--backend", "float", "--measure",
                        "exponential_product", "--d", "1", "--N", "6")
@@ -291,6 +298,35 @@ def test_malformed_sample_file_is_exit_two(tmp_path, capsys, backend, doc, needl
     assert needle in err
     if backend == "float" and not needle:
         assert "finite" in err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_negative_sample_weight_is_exit_two(tmp_path, capsys, backend):
+    # the same weights --measure atoms refuses
+    s = tmp_path / "neg.samples.json"
+    s.write_text(json.dumps({"points": [[-1], [0], [1]], "weights": [1, -1, 1]}))
+    code, out, err = run(capsys, "verify", "--samples", str(s), "--N", "1",
+                         "--backend", backend)
+    assert code == 2
+    assert out == ""
+    assert "weights must be nonnegative" in err
+
+
+def test_verify_jacobi_reports_a_missing_adjoint(tmp_path, capsys, monkeypatch):
+    j = tmp_path / "c.jacobi.json"
+    run(capsys, "decompose", "--measure", "circle_uniform", "--d", "2",
+        "--N", "3", "--out", str(j))
+
+    def no_adjoint(gomega, d, j, n, backend, tol):
+        raise AdjointInconsistencyError(f"creation operator for coordinate {j} has no adjoint")
+
+    monkeypatch.setattr(favard.fock, "annihilator", no_adjoint)
+    code, out, err = run(capsys, "verify", "--jacobi", str(j))
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["ok"] is False
+    assert "no adjoint" in payload["adjoint_error"]
+    assert "verification failed: creation operator" in err
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

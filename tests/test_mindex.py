@@ -11,6 +11,7 @@ from favard.mindex import (
     index_position,
     level_dimension,
     multi_factorial,
+    shift_index,
     tensor_metric,
 )
 
@@ -100,6 +101,24 @@ def test_creation_shifts_commute(d, n, data):
     b = [[sum(x * y for x, y in zip(r, c)) for c in zip(*creation_shift(d, n, j))]
          for r in creation_shift(d, n + 1, k)]
     assert a == b
+
+
+@given(st.integers(1, 4), st.integers(0, 5), st.data())
+def test_shift_index_is_the_index_shift_in_ascending_order(d, n, data):
+    j = data.draw(st.integers(1, d))
+    table = shift_index(d, n, j)
+    up = enumerate_level(d, n + 1)
+    assert len(table) == level_dimension(d, n)
+    for c, m in enumerate(enumerate_level(d, n)):
+        assert up[table[c]] == tuple(k + (i == j) for i, k in enumerate(m, start=1))
+    # ascending positions make every gathered sum add the dense product's terms in order
+    assert all(a < b for a, b in zip(table, table[1:]))
+
+
+def test_shift_index_rejects_bad_coordinates():
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            shift_index(2, 1, j)
 
 
 def test_invalid_arguments():
