@@ -9,7 +9,6 @@ from .errors import FileFormatError
 
 __all__ = [
     "atomic_write_text",
-    "format_scalar",
     "parse_rational",
     "parse_float",
     "format_matrix",
@@ -29,13 +28,6 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def format_scalar(x, backend: str):
-    """Rational scalars serialize as canonical 'p/q' strings, floats as numbers."""
-    if backend == "exact":
-        return str(Fraction(x))
-    return float(x)
 
 
 def parse_rational(value) -> Fraction:
@@ -63,14 +55,13 @@ def parse_float(value) -> float:
     return x
 
 
-def format_matrix(mat, backend: str):
-    return [[format_scalar(x, backend) for x in row] for row in mat]
+def format_matrix(mat, fmt):
+    return [[fmt(x) for x in row] for row in mat]
 
 
-def parse_matrix(data, backend: str, rows: int, cols: int, what: str):
+def parse_matrix(data, parse, rows: int, cols: int, what: str):
     if not isinstance(data, list) or len(data) != rows:
         raise FileFormatError(f"{what}: expected {rows} rows")
-    parse = parse_rational if backend == "exact" else parse_float
     out = []
     for row in data:
         if not isinstance(row, list) or len(row) != cols:

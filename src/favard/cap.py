@@ -71,8 +71,7 @@ def _solve(gram_matrix, pairing, backend, tol):
         # dead target level: its kernel complement is {0}, and positivity
         # (Cauchy-Schwarz) forces the true pairings to zero, so any nonzero
         # right hand side on the float backend is cancellation noise
-        zero = 0 if backend == "exact" else 0.0
-        return [[zero] * len(pairing[0]) for _ in gram_matrix]
+        return [[linalg.scalars(backend).zero] * len(pairing[0]) for _ in gram_matrix]
     sols = linalg.solve_min_norm(gram_matrix, linalg.transpose(pairing), backend, tol)
     return linalg.transpose(sols)
 
@@ -120,6 +119,7 @@ def verify_jacobi_relation(cap: CapOperators, gb):
     instead would cancel in floats.
     """
     report = Report(name="three-term relation")
+    backend, tol = cap.backend, cap.tol
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
             res = gb.times_x(j, n)
@@ -129,7 +129,7 @@ def verify_jacobi_relation(cap: CapOperators, gb):
                     _subtract_image(res, block, gb.level(k).coeffs)
             form = gb.pairing(res, res)
             worst = max([0] + [abs(form[i][i]) for i in range(len(res))])
-            _check(report, cap, f"residual seminorm j={j} level {n}", worst)
+            report.check(f"residual seminorm j={j} level {n}", worst, backend, tol)
     return report
 
 
@@ -140,23 +140,20 @@ def verify_adjointness(cap: CapOperators, gb):
     Preservation self-adjointness:  G_n A0_{j,n} = (A0_{j,n})^T G_n.
     """
     report = Report(name="adjointness")
+    backend, tol = cap.backend, cap.tol
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
             lhs = linalg.mat_mul(cap.grams[n + 1], cap.aplus[j][n])
             rhs = linalg.mat_mul(linalg.transpose(cap.aminus[j][n + 1]), cap.grams[n])
             dev = linalg.mat_max_diff(lhs, rhs)
-            _check(report, cap, f"creation-annihilation adjoint j={j} level {n}", dev)
+            report.check(f"creation-annihilation adjoint j={j} level {n}", dev, backend, tol)
         for n in range(cap.alpha_levels + 1):
             a0 = cap.azero[j][n]
             lhs = linalg.mat_mul(cap.grams[n], a0)
             rhs = linalg.mat_mul(linalg.transpose(a0), cap.grams[n])
             dev = linalg.mat_max_diff(lhs, rhs)
-            _check(report, cap, f"preservation self-adjoint j={j} level {n}", dev)
+            report.check(f"preservation self-adjoint j={j} level {n}", dev, backend, tol)
     return report
-
-
-def _check(report, cap, label, dev):
-    report.add(label, linalg.within(dev, cap.backend, cap.tol), deviation=dev)
 
 
 def _seminorm_dev(g, diff):
@@ -185,7 +182,7 @@ def verify_commutators(cap: CapOperators):
     levels only the G-weighted norm of the difference is claimed.
     """
     report = Report(name="commutators")
-    mm = linalg.mat_mul
+    backend, tol, mm = cap.backend, cap.tol, linalg.mat_mul
     for j in range(1, cap.d + 1):
         for k in range(j + 1, cap.d + 1):
             for n in range(cap.N - 1):
@@ -194,7 +191,7 @@ def verify_commutators(cap: CapOperators):
                     mm(cap.aplus[j][n + 1], cap.aplus[k][n]),
                 )
                 dev = _seminorm_dev(cap.grams[n + 2], diff)
-                _check(report, cap, f"creators commute j={j},k={k} level {n}", dev)
+                report.check(f"creators commute j={j},k={k} level {n}", dev, backend, tol)
             for n in range(min(cap.N - 1, cap.alpha_levels)):
                 # needs Azero at n and n+1, Aplus at n and n+1
                 diff = _msub(
@@ -208,7 +205,8 @@ def verify_commutators(cap: CapOperators):
                     ),
                 )
                 dev = _seminorm_dev(cap.grams[n + 1], diff)
-                _check(report, cap, f"creation-preservation commutator j={j},k={k} level {n}", dev)
+                label = f"creation-preservation commutator j={j},k={k} level {n}"
+                report.check(label, dev, backend, tol)
             for n in range(min(cap.N, cap.alpha_levels + 1)):
                 # [a+_j, a-_k] + [a0_j, a0_k] + [a-_j, a+_k] restricted to level n
                 terms = []
@@ -226,7 +224,7 @@ def verify_commutators(cap: CapOperators):
                 for t in terms[1:]:
                     total = _madd(total, t)
                 dev = _seminorm_dev(cap.grams[n], total)
-                _check(report, cap, f"mixed commutator j={j},k={k} level {n}", dev)
+                report.check(f"mixed commutator j={j},k={k} level {n}", dev, backend, tol)
     return report
 
 

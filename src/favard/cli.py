@@ -94,7 +94,7 @@ def _load_samples_file(path, max_degree, backend):
         raise FileFormatError("sample file: 'points' must be a list of coordinate lists")
     if not isinstance(weights, (list, type(None))):
         raise FileFormatError("sample file: 'weights' must be a list")
-    parse = _parse_atom_scalar if backend == "exact" else parse_float
+    parse = _parse_atom_scalar if linalg.scalars(backend) is linalg.EXACT else parse_float
     points = [[parse(x) for x in p] for p in points]
     weights = None if weights is None else [parse(w) for w in weights]
     return from_samples(points, max_degree, weights=weights, backend=backend)

@@ -30,7 +30,6 @@ in one walk: one field step per monomial.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cap import annihilator, extract_cap
@@ -57,8 +56,7 @@ class FockSpace:
     tol: float
 
     def vacuum(self):
-        one = Fraction(1) if self.backend == "exact" else 1.0
-        return {0: [one]}
+        return {0: [linalg.scalars(self.backend).cast(1)]}
 
 
 @dataclass
@@ -127,7 +125,7 @@ def _field_step(ops: FieldOperators, j: int, state: dict, reach: int) -> dict:
 def _vacuum_expectation(fock: FockSpace, state: dict):
     bottom = state.get(0)
     if bottom is None:
-        return Fraction(0) if fock.backend == "exact" else 0.0
+        return linalg.scalars(fock.backend).zero
     return fock.gomega[0][0][0] * bottom[0]
 
 
@@ -195,9 +193,5 @@ def _moment_report(phi, js: JacobiSequence, fock: FockSpace, ops: FieldOperators
             dev = abs(rebuilt[m] - phi.values[m])
             if dev > worst:
                 worst = dev
-        report.add(
-            f"moments of degree {degree}",
-            linalg.within(worst, phi.backend, fock.tol),
-            deviation=worst,
-        )
+        report.check(f"moments of degree {degree}", worst, phi.backend, fock.tol)
     return report

@@ -22,7 +22,6 @@ NumericalBreakdownError.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import cap, linalg
 from .errors import AdjointInconsistencyError, InconsistentSystemError
@@ -121,10 +120,8 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         bad = pos.first_failure()
         raise PositivityError(f"moment functional is not positive: {bad.label}")
     gb = GradedBasis(phi, N, tol, positivity=pos, alpha_levels=min(N, (phi.max_degree - 1) // 2))
-    scale = 1.0
-    if phi.backend == "float":
-        scale = max(1.0, max(abs(float(v)) for v in phi.values.values()))
-    cast = Fraction if phi.backend == "exact" else float
+    sc = linalg.scalars(phi.backend)
+    cast, dead = sc.cast, sc.cast(tol) * max(1, linalg.mat_max_abs([phi.values.values()]))
     monos = enumerate_upto(phi.d, phi.max_degree)
     for n in range(N + 1):
         idxs = enumerate_level(phi.d, n)
@@ -137,11 +134,11 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
         # (G + G^T)/2 is a no-op on exact data and makes float Grams exactly symmetric
         g = [r[low:width] for r in mods]
         g = [[(cast(x) + cast(y)) / 2 for x, y in zip(row, col)] for row, col in zip(g, zip(*g))]
-        # a float level whose whole Gram sits below the moment scale is
-        # cancellation noise around a true zero; its own largest eigenvalue
-        # is no scale reference, so floor it before any rank decision
-        if phi.backend == "float" and linalg.mat_max_abs(g) <= tol * scale:
-            g = [[0.0] * len(idxs) for _ in range(len(idxs))]
+        # a float level whose whole Gram sits below the moment scale is cancellation
+        # noise around a true zero; its own largest eigenvalue is no scale reference,
+        # so floor it before any rank decision (exact: only a zero Gram is floored)
+        if sc.within(linalg.mat_max_abs(g), dead):
+            g = [[sc.zero] * len(idxs) for _ in range(len(idxs))]
         kern = linalg.nullspace(g, phi.backend, tol)
         rank = len(idxs) - len(kern)
         gb.levels.append(
@@ -186,7 +183,7 @@ def _solve_blocks(gb: GradedBasis, n):
                 pairing = linalg.mat_mul(mods, linalg.transpose(xp))
                 gb.azero[j].append(cap._solve(g, pairing, backend, tol))
         except (InconsistentSystemError, AdjointInconsistencyError) as exc:
-            if backend == "exact":
+            if linalg.scalars(backend) is linalg.EXACT:
                 raise
             where = f"float gradation broke down at level {n}, coordinate {j}"
             raise NumericalBreakdownError(f"{where}: {exc.__cause__ or exc}") from exc

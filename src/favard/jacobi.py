@@ -42,7 +42,6 @@ may fail (ii), in which case no Fock reconstruction exists.
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -84,6 +83,9 @@ class JacobiSequence:
     alpha: dict
     tol: float = linalg.DEFAULT_TOL
 
+    def __post_init__(self):
+        linalg.scalars(self.backend)
+
     @property
     def alpha_levels(self) -> int:
         lengths = {len(v) for v in self.alpha.values()}
@@ -99,8 +101,7 @@ class JacobiSequence:
 @lru_cache(maxsize=None)
 def _metric_diag(d, n, backend):
     """Diagonal of the tensor metric T_n = m!/n! in the backend's scalars."""
-    diag = tensor_metric(d, n).metric_diag
-    return tuple(map(float, diag)) if backend == "float" else diag
+    return tuple(map(linalg.scalars(backend).cast, tensor_metric(d, n).metric_diag))
 
 
 def omega_matrix(js: JacobiSequence, n: int):
@@ -119,7 +120,7 @@ def build_U(cap: CapOperators, n: int):
         raise ValueError(f"U_{n} needs creation data to level {n}, have {cap.N}")
     cols = []
     for m in enumerate_level(cap.d, n):
-        vec = [Fraction(1) if cap.backend == "exact" else 1.0]
+        vec = [linalg.scalars(cap.backend).cast(1)]
         word = [j for j, k in enumerate(m, start=1) for _ in range(k)]
         for step, j in enumerate(word):
             vec = linalg.mat_vec(cap.aplus[j][step], vec)
@@ -144,31 +145,23 @@ def extract_jacobi(gb: GradedBasis, cap: CapOperators) -> JacobiSequence:
 def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
     """Pass/fail per Favard condition (i)-(iii) per level, on the data alone."""
     tol = js.tol if tol is None else tol
-    exact = js.backend == "exact"
+    sc = linalg.scalars(js.backend)
     report = Report(name="favard conditions")
     for n, g in enumerate(js.gomega):
         dev = linalg.mat_max_diff(g, linalg.transpose(g))
-        report.add(
-            f"Gomega symmetric level {n}",
-            linalg.within(dev, js.backend, tol),
-            deviation=dev,
-        )
+        report.check(f"Gomega symmetric level {n}", dev, js.backend, tol)
         ok, floor = linalg.psd_floor(g, js.backend, tol)
         report.add(
             f"Gomega PSD level {n}",
             ok,
-            deviation=None if exact else floor,
+            deviation=None if sc is linalg.EXACT else floor,  # exact: a pivot index, no margin
             detail="" if ok else "negative direction found",
         )
         # the operator form: T_n Omega_n must reproduce Gomega_n exactly
         diag = _metric_diag(js.d, n, js.backend)
         back = [[t * x for x in row] for t, row in zip(diag, omega_matrix(js, n))]
         dev = linalg.mat_max_diff(back, g)
-        report.add(
-            f"tensor-metric symmetry of Omega level {n}",
-            linalg.within(dev, js.backend, tol),
-            deviation=dev,
-        )
+        report.check(f"tensor-metric symmetry of Omega level {n}", dev, js.backend, tol)
     for n in range(js.N):
         kern = linalg.nullspace(js.gomega[n], js.backend, tol)
         worst = 0
@@ -180,21 +173,13 @@ def verify_favard_conditions(js: JacobiSequence, tol=None) -> Report:
                 dev = max((abs(x) for x in image), default=0)
                 if dev > worst:
                     worst = dev
-        report.add(
-            f"kernel lift compatibility level {n} -> {n + 1}",
-            linalg.within(worst, js.backend, tol),
-            deviation=worst,
-        )
+        report.check(f"kernel lift compatibility level {n} -> {n + 1}", worst, js.backend, tol)
     for j, mats in sorted(js.alpha.items()):
         for n, a in enumerate(mats):
             lhs = linalg.mat_mul(js.gomega[n], a)
             rhs = linalg.mat_mul(linalg.transpose(a), js.gomega[n])
             dev = linalg.mat_max_diff(lhs, rhs)
-            report.add(
-                f"alpha symmetry j={j} level {n}",
-                linalg.within(dev, js.backend, tol),
-                deviation=dev,
-            )
+            report.check(f"alpha symmetry j={j} level {n}", dev, js.backend, tol)
     return report
 
 
@@ -208,12 +193,13 @@ METRIC_TAG = "m!/n!"
 
 def jacobi_file_text(js: JacobiSequence) -> str:
     """Canonical serialization; bit-exact round trips on the exact backend."""
+    fmt = linalg.scalars(js.backend).format
     levels = []
     for n in range(js.N + 1):
-        entry = {"n": n, "Gomega": format_matrix(js.gomega[n], js.backend)}
+        entry = {"n": n, "Gomega": format_matrix(js.gomega[n], fmt)}
         if n <= js.alpha_levels:
             entry["alpha"] = {
-                str(j): format_matrix(js.alpha[j][n], js.backend)
+                str(j): format_matrix(js.alpha[j][n], fmt)
                 for j in range(1, js.d + 1)
             }
         levels.append(entry)
@@ -264,7 +250,7 @@ def load_jacobi_file(path_or_text, is_text=False) -> JacobiSequence:
     levels = doc["levels"]
     if not isinstance(levels, list) or len(levels) != n_top + 1:
         raise FileFormatError(f"expected {n_top + 1} level entries")
-    backend = None
+    sc = None
     gomega = []
     alpha = {j: [] for j in range(1, d + 1)}
     alpha_stopped = False
@@ -276,12 +262,12 @@ def load_jacobi_file(path_or_text, is_text=False) -> JacobiSequence:
         if "Gomega" not in entry:
             raise FileFormatError(f"level {n}: missing Gomega")
         dim = level_dimension(d, n)
-        if backend is None:
+        if sc is None:
             probe = entry["Gomega"]
             if not (isinstance(probe, list) and probe and isinstance(probe[0], list) and probe[0]):
                 raise FileFormatError("level 0: Gomega must be a nonempty matrix")
-            backend = "exact" if isinstance(probe[0][0], str) else "float"
-        gomega.append(parse_matrix(entry["Gomega"], backend, dim, dim, f"Gomega level {n}"))
+            sc = linalg.EXACT if isinstance(probe[0][0], str) else linalg.FLOAT
+        gomega.append(parse_matrix(entry["Gomega"], sc.parse, dim, dim, f"Gomega level {n}"))
         if "alpha" in entry:
             if alpha_stopped:
                 raise FileFormatError(f"level {n}: alpha present after a level without it")
@@ -292,15 +278,13 @@ def load_jacobi_file(path_or_text, is_text=False) -> JacobiSequence:
                 )
             for j in range(1, d + 1):
                 alpha[j].append(
-                    parse_matrix(amap[str(j)], backend, dim, dim, f"alpha[{j}] level {n}")
+                    parse_matrix(amap[str(j)], sc.parse, dim, dim, f"alpha[{j}] level {n}")
                 )
         else:
             if n < n_top:
                 raise FileFormatError(f"level {n}: alpha may be omitted only at the top level")
             alpha_stopped = True
-    return JacobiSequence(
-        d=d, N=n_top, backend=backend, gomega=gomega, alpha=alpha
-    )
+    return JacobiSequence(d=d, N=n_top, backend=sc.name, gomega=gomega, alpha=alpha)
 
 
 # ----------------------------------------------------------------- analysis
@@ -359,9 +343,7 @@ def analyze(phi, N, tol=linalg.DEFAULT_TOL, with_roundtrip=True) -> MeasureAnaly
     for n, g in enumerate(js.gomega):
         u = build_U(cap, n)
         dev = linalg.mat_max_diff(linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), g), u), g)
-        reports["favard_conditions"].add(
-            f"U-unitarity level {n}", linalg.within(dev, js.backend, tol), deviation=dev
-        )
+        reports["favard_conditions"].check(f"U-unitarity level {n}", dev, js.backend, tol)
     if with_roundtrip:
         # the report above already holds the admissibility verdict, so the
         # round trip builds without the build_fock gate

@@ -3,20 +3,28 @@
 Matrices are lists of rows; vectors are lists.  Exact entries are ints or
 Fractions, float entries are Python floats.  Level dimensions stay small,
 so the exact routines are plain eliminations; float routines defer to
-numpy.  The two families sit behind backend-dispatching wrappers that take
-``backend`` in {"exact", "float"} and, for the float family, a relative
-tolerance used both as kernel threshold (eigenvalues below tol * lambda_max
-count as zero) and as lstsq cutoff.
+numpy.  All that differs between the two lives in one immutable scalar
+family per backend, EXACT and FLOAT, found by scalars(backend): cast,
+file scalar format, tolerance rule within (reports apply it through
+Report.check) and kernels.  Float kernels decide rank relative to
+the largest eigenvalue (below tol * lambda_max counts as zero); float
+within compares a deviation with tol as given.  Exact ignores tol.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
+from ._util import parse_float, parse_rational
 from .errors import InconsistentSystemError
 
 DEFAULT_TOL = 1e-10
 
+# matrix helpers and kernels only: bench/tracer.py times every callable listed
+# here, and scalars(), EXACT and FLOAT are no kernels
 __all__ = [
     "DEFAULT_TOL",
     "transpose",
@@ -96,11 +104,6 @@ def mat_max_diff(a, b):
     return mat_max_abs([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
 
-def within(dev, backend, tol):
-    """The tolerance rule: an exact deviation must vanish, a float one be <= tol."""
-    return dev == 0 if backend == "exact" else dev <= tol
-
-
 # ------------------------------------------------------------- exact family
 
 
@@ -155,16 +158,10 @@ def _kernel_from_rref(r, pivots, ncols):
     return basis
 
 
-def _nullspace_exact(a):
+def _nullspace_exact(a, tol=None):
     if not a:
         return []
     return _kernel_from_rref(*rref(a), len(a[0]))
-
-
-def _rank_exact(a):
-    if not a:
-        return 0
-    return len(rref(a)[1])
 
 
 def _solve_exact(a, b_cols):
@@ -196,7 +193,7 @@ def _solve_exact(a, b_cols):
     return solutions, _kernel_from_rref(r, pivots, ncols)
 
 
-def _solve_min_norm_exact(a, b_cols):
+def _solve_min_norm_exact(a, b_cols, tol=None):
     """Minimum Euclidean norm solutions of a X = B (consistent systems only).
 
     The particular solution is projected onto the orthogonal complement of
@@ -219,7 +216,7 @@ def _solve_min_norm_exact(a, b_cols):
     return out
 
 
-def _psd_pivots_exact(g):
+def _psd_pivots_exact(g, tol=None):
     """Symmetric elimination pivots; decides positive semidefiniteness exactly.
 
     Returns (ok, witness).  A negative pivot, or a zero pivot whose row is
@@ -253,7 +250,7 @@ def _np(a):
 
 def _solve_min_norm_float(a, b_cols, tol):
     am = _np(a)
-    bm = np.array(b_cols, dtype=float).T if b_cols else np.zeros((len(a), 0))
+    bm = np.array(b_cols, dtype=float).T
     if am.size == 0:
         return [[0.0] * (len(a[0]) if a else 0) for _ in b_cols]
     x, *_ = np.linalg.lstsq(am, bm, rcond=tol)
@@ -296,12 +293,68 @@ def _rank_float(a, tol):
     return int((s > tol * s[0]).sum())
 
 
-# ---------------------------------------------------------------- dispatch
+def _psd_floor_float(g, tol):
+    w, _ = _sym_eig_float(g)
+    if w.size == 0:
+        return True, 0.0
+    lam_min = float(w.min())
+    lam_max = float(np.abs(w).max())
+    return lam_min >= -tol * max(1.0, lam_max), lam_min
 
 
-def _check_backend(backend):
-    if backend not in ("exact", "float"):
-        raise ValueError(f"backend must be 'exact' or 'float', got {backend!r}")
+# ---------------------------------------------------------- scalar families
+
+
+@dataclass(frozen=True)
+class Scalars:
+    """One backend's scalars: name is the backend string, tag the moment-file name.
+
+    zero starts sums and fills zero blocks (exact: the int 0, an exact
+    rational that multiplies faster than a Fraction); cast(1) is the one.
+    parse and format convert one file scalar; finite tells a valid moment;
+    within(dev, tol) passes an identity check's deviation; the kernels take
+    (..., tol) as the dispatchers below do.
+    """
+
+    name: str
+    cast: Callable
+    zero: object
+    tag: str
+    parse: Callable
+    format: Callable
+    finite: Callable
+    within: Callable
+    solve_min_norm: Callable
+    nullspace: Callable
+    rank: Callable
+    psd_floor: Callable
+
+
+EXACT = Scalars(
+    "exact", Fraction, 0, "rational", parse_rational, lambda x: str(Fraction(x)),
+    finite=lambda x: True, within=lambda dev, tol: dev == 0,
+    solve_min_norm=_solve_min_norm_exact, nullspace=_nullspace_exact,
+    rank=lambda a, tol: len(rref(a)[1]), psd_floor=_psd_pivots_exact,
+)
+FLOAT = Scalars(
+    "float", float, 0.0, "float", parse_float, float,
+    finite=math.isfinite, within=lambda dev, tol: dev <= tol,
+    solve_min_norm=_solve_min_norm_float, nullspace=_nullspace_float,
+    rank=_rank_float, psd_floor=_psd_floor_float,
+)
+
+
+def scalars(backend):
+    """The scalar family of a backend name; anything but 'exact' or 'float' is refused."""
+    for family in (EXACT, FLOAT):
+        if family.name == backend:
+            return family
+    raise ValueError(f"backend must be 'exact' or 'float', got {backend!r}")
+
+
+def within(dev, backend, tol):
+    """The tolerance rule: an exact deviation must vanish, a float one be <= tol."""
+    return scalars(backend).within(dev, tol)
 
 
 def solve_min_norm(a, b_cols, backend, tol=DEFAULT_TOL):
@@ -310,12 +363,8 @@ def solve_min_norm(a, b_cols, backend, tol=DEFAULT_TOL):
     Both backends raise InconsistentSystemError when none exists (float: a
     least-squares residual above tol times the largest entry, at least 1).
     """
-    _check_backend(backend)
-    if not b_cols:
-        return []
-    if backend == "exact":
-        return _solve_min_norm_exact(a, b_cols)
-    return _solve_min_norm_float(a, b_cols, tol)
+    solve = scalars(backend).solve_min_norm
+    return solve(a, b_cols, tol) if b_cols else []
 
 
 def nullspace(g, backend, tol=DEFAULT_TOL):
@@ -324,17 +373,11 @@ def nullspace(g, backend, tol=DEFAULT_TOL):
     Float kernels collect eigenvectors with |eigenvalue| < tol * lambda_max;
     a zero matrix counts as all kernel.
     """
-    _check_backend(backend)
-    if backend == "exact":
-        return _nullspace_exact(g)
-    return _nullspace_float(g, tol)
+    return scalars(backend).nullspace(g, tol)
 
 
 def rank(a, backend, tol=DEFAULT_TOL):
-    _check_backend(backend)
-    if backend == "exact":
-        return _rank_exact(a)
-    return _rank_float(a, tol)
+    return scalars(backend).rank(a, tol)
 
 
 def psd_floor(g, backend, tol=DEFAULT_TOL):
@@ -344,12 +387,4 @@ def psd_floor(g, backend, tol=DEFAULT_TOL):
     pivot index on failure.  Float: floor is the smallest eigenvalue and the
     test passes when it is >= -tol * max(1, lambda_max).
     """
-    _check_backend(backend)
-    if backend == "exact":
-        return _psd_pivots_exact(g)
-    w, _ = _sym_eig_float(g)
-    if w.size == 0:
-        return True, 0.0
-    lam_min = float(w.min())
-    lam_max = float(np.abs(w).max())
-    return lam_min >= -tol * max(1.0, lam_max), lam_min
+    return scalars(backend).psd_floor(g, tol)

@@ -27,7 +27,7 @@ from math import factorial
 from operator import add
 
 from . import linalg
-from ._util import atomic_write_text, format_scalar, parse_float, parse_rational
+from ._util import atomic_write_text
 from .errors import FileFormatError, MomentDegreeError
 from .mindex import enumerate_upto
 from .poly import Polynomial
@@ -63,7 +63,7 @@ class MomentFunctional:
 
     values maps every multi-index of total degree <= max_degree to its
     moment; the scalar family is fixed by backend ("exact" -> Fraction,
-    "float" -> float).
+    "float" -> float, every moment finite).
     """
 
     d: int
@@ -77,16 +77,15 @@ class MomentFunctional:
             raise ValueError("dimension must be >= 1")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.backend not in ("exact", "float"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        zero = (0,) * self.d
+        sc = linalg.scalars(self.backend)
         for m in enumerate_upto(self.d, self.max_degree):
             if m not in self.values:
                 raise ValueError(f"missing moment for multi-index {m}")
-        mass = self.values[zero]
+            if not sc.finite(self.values[m]):
+                raise ValueError(f"moment for multi-index {m} is not finite: {self.values[m]!r}")
+        mass = self.values[(0,) * self.d]
         # exact states are normalized exactly; float ones up to rounding noise
-        bad = mass != 1 if self.backend == "exact" else abs(mass - 1.0) > 1e-12
-        if bad:
+        if not sc.within(abs(mass - 1), 1e-12):
             raise ValueError(
                 f"state must be normalized: moment of 1 is {mass}, expected 1"
             )
@@ -108,7 +107,7 @@ def apply(phi: MomentFunctional, p: Polynomial):
         raise MomentDegreeError(
             f"polynomial degree {p.degree()} exceeds available moments ({phi.max_degree})"
         )
-    total = Fraction(0) if phi.backend == "exact" else 0.0
+    total = linalg.scalars(phi.backend).zero
     for m, c in p.terms.items():
         total = total + c * phi.values[m]
     return total
@@ -142,16 +141,16 @@ def check_state_positivity(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL
             f"only {phi.max_degree} available"
         )
     report = Report(name=f"state positivity to degree {N}")
+    exact = linalg.scalars(phi.backend) is linalg.EXACT  # exact floor: the failing pivot
     for k in range(N + 1):
         idxs = enumerate_upto(phi.d, k)
         h = moment_matrix(phi, idxs, idxs)
         ok, floor = linalg.psd_floor(h, phi.backend, tol)
-        detail = "" if ok else f"failing pivot index {floor}" if phi.backend == "exact" else ""
         report.add(
             f"monomial gram PSD at degree <= {k}",
             ok,
-            deviation=None if phi.backend == "exact" else floor,
-            detail=detail,
+            deviation=None if exact else floor,
+            detail=f"failing pivot index {floor}" if exact and not ok else "",
         )
     return report
 
@@ -261,8 +260,8 @@ def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
         _check_weights(wts, "atom")
         total = sum(wts)
         values = _atomic_moments(pts, [w / total for w in wts], d, max_degree)
-    if backend == "float":
-        values = {m: float(v) for m, v in values.items()}
+    cast = linalg.scalars(backend).cast
+    values = {m: cast(v) for m, v in values.items()}
     label = f"catalog:{name}(d={d})"
     return MomentFunctional(
         d=d, max_degree=max_degree, values=values, backend=backend, source=label
@@ -295,7 +294,7 @@ def from_samples(points, max_degree, weights=None, backend=None):
     )
     if backend is None:
         backend = "exact" if exact_in else "float"
-    if backend == "exact":
+    if linalg.scalars(backend) is linalg.EXACT:
         pts = [tuple(Fraction(x) for x in p) for p in pts]
         weights = [Fraction(w) for w in weights]
         _check_weights(weights, "sample")
@@ -333,15 +332,10 @@ _ENTRY_KEYS = {"m", "v"}
 
 def moment_file_text(phi: MomentFunctional) -> str:
     """Canonical serialization; deterministic bytes on the exact backend."""
-    entries = []
-    for m in enumerate_upto(phi.d, phi.max_degree):
-        entries.append({"m": list(m), "v": format_scalar(phi.values[m], phi.backend)})
-    doc = {
-        "d": phi.d,
-        "max_degree": phi.max_degree,
-        "scalar": "rational" if phi.backend == "exact" else "float",
-        "moments": entries,
-    }
+    sc = linalg.scalars(phi.backend)
+    entries = [{"m": list(m), "v": sc.format(phi.values[m])}
+               for m in enumerate_upto(phi.d, phi.max_degree)]
+    doc = {"d": phi.d, "max_degree": phi.max_degree, "scalar": sc.tag, "moments": entries}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
@@ -377,10 +371,9 @@ def from_file(path_or_text, is_text=False):
         raise FileFormatError(f"bad dimension {d!r}")
     if not isinstance(max_degree, int) or max_degree < 0:
         raise FileFormatError(f"bad max_degree {max_degree!r}")
-    if scalar not in ("rational", "float"):
+    sc = next((f for f in (linalg.EXACT, linalg.FLOAT) if f.tag == scalar), None)
+    if sc is None:
         raise FileFormatError(f"scalar must be 'rational' or 'float', got {scalar!r}")
-    backend = "exact" if scalar == "rational" else "float"
-    parse = parse_rational if backend == "exact" else parse_float
     if not isinstance(doc["moments"], list):
         raise FileFormatError("moments must be a list")
     values = {}
@@ -399,11 +392,11 @@ def from_file(path_or_text, is_text=False):
         key = tuple(m)
         if key in values:
             raise FileFormatError(f"duplicate multi-index {m}")
-        values[key] = parse(entry["v"])
+        values[key] = sc.parse(entry["v"])
     source = "file" if is_text else f"file:{path_or_text}"
     try:
         return MomentFunctional(
-            d=d, max_degree=max_degree, values=values, backend=backend, source=source
+            d=d, max_degree=max_degree, values=values, backend=sc.name, source=source
         )
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc

@@ -8,6 +8,8 @@ whole picture and pick an exit code.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
+
 __all__ = ["Check", "Report"]
 
 
@@ -44,6 +46,10 @@ class Report:
 
     def add(self, label, ok, deviation=None, detail=""):
         self.checks.append(Check(label, bool(ok), deviation, detail))
+
+    def check(self, label, dev, backend, tol):
+        """Add an identity check whose deviation passes by the backend family's rule within."""
+        self.add(label, linalg.within(dev, backend, tol), deviation=dev)
 
     def first_failure(self):
         for c in self.checks:

@@ -232,6 +232,34 @@ def test_non_finite_jacobi_file_is_exit_two(tmp_path, capsys):
     assert not m.exists()
 
 
+def test_reconstruct_refuses_overflowing_moments(tmp_path, capsys):
+    # finite data whose vacuum moments overflow: 1e200 squared is inf at degree 2
+    j = tmp_path / "big.jacobi.json"
+    m = tmp_path / "never.moments.json"
+    j.write_text(json.dumps({
+        "d": 1, "N": 1, "order": "graded-lex", "metric": "m!/n!",
+        "levels": [
+            {"n": 0, "Gomega": [[1.0]], "alpha": {"1": [[1e200]]}},
+            {"n": 1, "Gomega": [[1.0]], "alpha": {"1": [[0.0]]}},
+        ],
+    }))
+    code, out, err = run(capsys, "reconstruct", "--jacobi", str(j), "--out", str(m))
+    assert code == 2 and out == ""
+    assert "reconstructed moments do not form a state" in err
+    assert "multi-index (2,) is not finite" in err
+    assert not m.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_samples_with_overflowing_moments_are_exit_two(tmp_path, capsys):
+    s = tmp_path / "big.samples.json"
+    s.write_text(json.dumps({"points": [[1e200], [0.0], [1.0]]}))
+    code, out, err = run(capsys, "verify", "--backend", "float", "--samples", str(s),
+                         "--N", "2")
+    assert code == 2 and out == ""
+    assert "multi-index (2,) is not finite" in err
+
+
 def test_usage_errors_are_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--measure", "gaussian_product",
                        "--N", "2", "--out", str(tmp_path / "x.json"))

@@ -1,11 +1,16 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import favard.linalg
+import favard.moments
 from favard.errors import InconsistentSystemError
+from favard.fock import FockSpace
+from favard.jacobi import JacobiSequence
 from favard.linalg import (
     DEFAULT_TOL,
     mat_mul,
@@ -183,3 +188,38 @@ def test_kernels_on_zero_rows_columns_and_signed_zeros():
     assert mat_mul([[], []], []) == [[], []]
     assert mat_vec([[], []], []) == [0, 0]
     assert mat_mul([], [[1]]) == [] and mat_vec([], [1]) == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: favard.linalg.within(Fraction(1, 10**12), b, 1e-10),
+    lambda b: solve_min_norm([[1]], [], b),
+    lambda b: favard.moments.MomentFunctional(d=1, max_degree=0, values={(0,): 1}, backend=b),
+    lambda b: favard.moments.from_catalog("gaussian_product", 1, 2, backend=b),
+    lambda b: JacobiSequence(d=1, N=0, backend=b, gomega=[[[1]]], alpha={1: [[[0]]]}),
+    lambda b: FockSpace(d=1, N=0, backend=b, gomega=[[[1]]], tol=DEFAULT_TOL).vacuum(),
+], ids=["within", "solve_min_norm", "MomentFunctional", "from_catalog", "JacobiSequence",
+        "FockSpace"])
+def test_every_backend_name_is_checked_by_one_lookup(build):
+    for backend in ("exacct", "Float", "decimal", None):
+        with pytest.raises(ValueError, match=r"^backend must be 'exact' or 'float', got "):
+            build(backend)
+
+
+def test_scalar_families_are_found_by_name():
+    assert favard.linalg.scalars("exact") is favard.linalg.EXACT
+    assert favard.linalg.scalars("float") is favard.linalg.FLOAT
+    assert favard.linalg.EXACT.zero == 0 and isinstance(favard.linalg.EXACT.cast(1), Fraction)
+    assert isinstance(favard.linalg.FLOAT.zero, float) and favard.linalg.FLOAT.cast(1) == 1.0
+    # the benchmark tracer wraps every callable in __all__ as a function
+    assert not [n for n in favard.linalg.__all__ if isinstance(getattr(favard.linalg, n), type)]
+
+
+def test_no_module_compares_a_backend_name_literal():
+    # the exact/float decision lives in the scalar families alone
+    pattern = re.compile(r'(==|!=) *"(exact|float)"')
+    src = Path(favard.linalg.__file__).parent
+    hits = [f"{path.name}:{no}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)]
+    assert hits == []

@@ -244,3 +244,12 @@ def test_normalization_diagnostic_names_the_mass():
     p["moments"][0]["v"] = "2"
     with pytest.raises(FileFormatError, match="mass|normal"):
         from_file(json.dumps(p), is_text=True)
+
+
+def test_float_functional_refuses_non_finite_moments():
+    # a NaN weight passes the sign and zero-sum checks but poisons every moment
+    with pytest.raises(ValueError, match=r"multi-index \(0,\) is not finite: nan"):
+        from_samples([[0.0], [1.0], [2.0]], 2, weights=[float("nan"), 1.0, 1.0])
+    values = {(0,): 1.0, (1,): float("inf"), (2,): 1.0}
+    with pytest.raises(ValueError, match=r"multi-index \(1,\) is not finite: inf"):
+        MomentFunctional(d=1, max_degree=2, values=values, backend="float")
