@@ -11,8 +11,8 @@ blocks, written in the monic level bases, are
 so that x_j P_n = Aplus^T P_{n+1} + Azero^T P_n + Aminus^T P_{n-1} up to
 null polynomials.  Run backwards, that relation is the recurrence that
 builds each level from the two below (module gradation); the gradation
-sweep therefore solves every block once, as soon as its Grams exist, and
-extract_cap only copies them out.
+sweep therefore solves every block once, as soon as its Grams exist, into
+the one CapOperators the gradation holds, and extract_cap returns it.
 
 Each block solves G_target X = B for the pairing B of the target level
 with x_j times the source level.  Creation needs no moments beyond the
@@ -35,11 +35,12 @@ sense, never entrywise.  Aminus[j][0] is the empty matrix (the vacuum
 has no level below).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import AdjointInconsistencyError, InconsistentSystemError
-from .mindex import shift_index
+from .mindex import enumerate_upto, shift_index
+from .moments import moment_matrix
 from .reports import Report
 
 __all__ = [
@@ -58,11 +59,11 @@ class CapOperators:
     N: int
     backend: str
     tol: float
-    grams: list
-    aplus: dict
-    azero: dict
-    aminus: dict
     alpha_levels: int
+    grams: list = field(default_factory=list)
+    aplus: dict = field(default_factory=dict)
+    azero: dict = field(default_factory=dict)
+    aminus: dict = field(default_factory=dict)
 
 
 def _solve(gram_matrix, pairing, backend, tol):
@@ -97,10 +98,8 @@ def annihilator(gomega, d, j, n, backend, tol):
 
 
 def extract_cap(gb) -> CapOperators:
-    """The CAP blocks build_gradation solved in its sweep, copied out; solves nothing."""
-    blocks = [{j: list(v) for j, v in b.items()} for b in (gb.aplus, gb.azero, gb.aminus)]
-    grams = [lvl.gram for lvl in gb.levels]
-    return CapOperators(gb.d, gb.N, gb.backend, gb.tol, grams, *blocks, gb.alpha_levels)
+    """The CAP blocks build_gradation solved in its sweep; solves and copies nothing."""
+    return gb.cap
 
 
 def _subtract_image(rows, block, lower):
@@ -114,12 +113,14 @@ def verify_jacobi_relation(cap: CapOperators, gb):
 
     The residual r = X_j p - (its images in levels n+1, n, n-1) is formed
     as a coefficient row over the monomials of degree <= n+1 first, and its
-    squared seminorm r^T H r must vanish; the residual itself is nonzero
+    squared seminorm r H r^T must vanish; the residual itself is nonzero
     in degenerate cases.  Expanding the form into differences of pairings
     instead would cancel in floats.
     """
     report = Report(name="three-term relation")
     backend, tol = cap.backend, cap.tol
+    monos = [enumerate_upto(cap.d, n + 1) for n in range(cap.N)]
+    hs = [moment_matrix(gb.phi, m, m) for m in monos]  # H over the degrees <= n+1
     for j in range(1, cap.d + 1):
         for n in range(cap.N):
             res = gb.times_x(j, n)
@@ -127,8 +128,8 @@ def verify_jacobi_relation(cap: CapOperators, gb):
             for block, k in zip(blocks, (n + 1, n, n - 1)):
                 if block:  # Aminus[j][0] is the empty matrix
                     _subtract_image(res, block, gb.level(k).coeffs)
-            form = gb.pairing(res, res)
-            worst = max([0] + [abs(form[i][i]) for i in range(len(res))])
+            # only the diagonal of r H r^T is read; H is symmetric, so H r^T is r H
+            worst = max([0] + [abs(linalg._dot(linalg.mat_vec(hs[n], r), r)) for r in res])
             report.check(f"residual seminorm j={j} level {n}", worst, backend, tol)
     return report
 

@@ -9,6 +9,7 @@ valid input; the exact backend or a smaller N may succeed).
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -73,14 +74,13 @@ def _parser():
 
 
 def _parse_atom_scalar(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise ValueError(f"bad scalar {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, float):
-        return Fraction(str(v))
+        v = str(v)
+    if isinstance(v, (str, int)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:  # "1/0"
+            pass
     raise ValueError(f"bad scalar {v!r}")
 
 
@@ -118,6 +118,9 @@ def _functional(args) -> MomentFunctional:
             if not args.atoms:
                 raise ValueError("--measure atoms needs --atoms")
             parsed = json.loads(args.atoms)
+            if not isinstance(parsed, list) or not all(
+                    isinstance(a, list) and len(a) == 2 and isinstance(a[0], list) for a in parsed):
+                raise ValueError("--atoms must be a JSON list of [point-list, weight] pairs")
             atoms = [
                 ([_parse_atom_scalar(x) for x in point], _parse_atom_scalar(weight))
                 for point, weight in parsed
@@ -255,8 +258,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < args.tol < math.inf:  # also refuses nan
+            raise ValueError("tol must be positive and finite")
         if getattr(args, "N", None) is not None and args.N < 0:
             raise ValueError("N must be >= 0")
         return _COMMANDS[args.command](args)

@@ -90,9 +90,8 @@ def _assemble_fock(js: JacobiSequence, tol):
         j: [[]] + [annihilator(js.gomega, js.d, j, n, js.backend, tol) for n in range(1, js.N + 1)]
         for j in range(1, js.d + 1)
     }
-    alpha = {j: list(mats) for j, mats in js.alpha.items()}
     fock = FockSpace(d=js.d, N=js.N, backend=js.backend, gomega=js.gomega, tol=tol)
-    return fock, FieldOperators(js.d, js.N, alpha, aminus, js.alpha_levels)
+    return fock, FieldOperators(js.d, js.N, js.alpha, aminus, js.alpha_levels)
 
 
 def _check_word_length(ops: FieldOperators, k: int) -> None:

@@ -14,16 +14,18 @@ moment matrix) and pairs with a coefficient row q as R_n q^T: R_n vanishes
 below degree n, its level-n columns are the Gram G_n (the block D_n of the
 block LDL^T of H, whose L^{-1} has the rows P_0..P_N), and x_j P_n pairs as
 R_n (x_j P_n)^T.  build_gradation is one sweep: level n from the two
-below, G_n off R_n, then the CAP blocks G_n completes (module cap).  They
-are minimum-norm solutions, so degenerate levels (singular G_n) keep
-exactly monic polynomials and all degeneracy lives in the Grams.  Exact
-levels are orthogonal exactly; a float solve whose residual fails raises
+below, G_n off R_n, then the CAP blocks G_n completes, appended to the one
+cap.CapOperators the basis holds (module cap).  They are minimum-norm
+solutions, so degenerate levels (singular G_n) keep exactly monic
+polynomials and all degeneracy lives in the Grams.  Exact levels are
+orthogonal exactly; a float solve whose residual fails raises
 NumericalBreakdownError.
 """
 
 from dataclasses import dataclass, field
 
 from . import cap, linalg
+from .cap import CapOperators
 from .errors import AdjointInconsistencyError, InconsistentSystemError
 from .errors import NumericalBreakdownError, PositivityError
 from .mindex import enumerate_level, enumerate_upto, index_position, shift_index
@@ -66,17 +68,14 @@ class GradedLevel:
 
 @dataclass
 class GradedBasis:
-    """Levels 0..N of a moment functional's gradation and, as in cap.CapOperators, its blocks."""
+    """Levels 0..N of a moment functional's gradation and the CAP blocks its sweep solved."""
 
     phi: MomentFunctional
     N: int
     tol: float
     levels: list = field(default_factory=list)
     positivity: Report = None  # the state positivity check run before the build
-    aplus: dict = field(default_factory=dict)
-    azero: dict = field(default_factory=dict)
-    aminus: dict = field(default_factory=dict)
-    alpha_levels: int = -1
+    cap: CapOperators = None  # the sweep fills it level by level
 
     @property
     def d(self):
@@ -100,12 +99,6 @@ class GradedBasis:
                 row[t] = c
         return rows
 
-    def pairing(self, a, b):
-        """[phi(p q)] for the coefficient rows p in a and q in b: a H b^T."""
-        monos = enumerate_upto(self.d, self.phi.max_degree)
-        h = moment_matrix(self.phi, monos[: len(a[0])], monos[: len(b[0])])
-        return linalg.mat_mul(linalg.mat_mul(a, h), linalg.transpose(b))
-
 
 def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> GradedBasis:
     """Construct levels 0..N for phi and the CAP blocks between them in one sweep.
@@ -119,7 +112,8 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
     if not pos.ok:
         bad = pos.first_failure()
         raise PositivityError(f"moment functional is not positive: {bad.label}")
-    gb = GradedBasis(phi, N, tol, positivity=pos, alpha_levels=min(N, (phi.max_degree - 1) // 2))
+    ops = CapOperators(phi.d, N, phi.backend, tol, min(N, (phi.max_degree - 1) // 2))
+    gb = GradedBasis(phi, N, tol, positivity=pos, cap=ops)
     sc = linalg.scalars(phi.backend)
     cast, dead = sc.cast, sc.cast(tol) * max(1, linalg.mat_max_abs([phi.values.values()]))
     monos = enumerate_upto(phi.d, phi.max_degree)
@@ -157,7 +151,7 @@ def _recurrence_rows(gb: GradedBasis, idxs):
     src = [pos[m] for m in down]
     shifted = {j: gb.times_x(j, n - 1) for j in set(first)}
     rows = [shifted[j][s] for j, s in zip(first, src)]
-    for blocks, k in ((gb.azero, n - 1), (gb.aminus, n - 2)):
+    for blocks, k in ((gb.cap.azero, n - 1), (gb.cap.aminus, n - 2)):
         if k >= 0:  # column m is column m - e_j of coordinate j's block out of level n-1
             mats = [blocks[j][n - 1] for j in first]
             block = [[a[r][s] for a, s in zip(mats, src)] for r in range(len(mats[0]))]
@@ -166,22 +160,23 @@ def _recurrence_rows(gb: GradedBasis, idxs):
 
 
 def _solve_blocks(gb: GradedBasis, n):
-    """Aplus[j][n-1], Aminus[j][n] and Azero[j][n]: the CAP blocks G_n completes."""
-    g, grams, backend, tol = gb.levels[n].gram, [lvl.gram for lvl in gb.levels], gb.backend, gb.tol
+    """G_n, then Aplus[j][n-1], Aminus[j][n] and Azero[j][n]: the CAP blocks G_n completes."""
+    ops, g, backend, tol = gb.cap, gb.levels[n].gram, gb.backend, gb.tol
+    ops.grams.append(g)
     for j in range(1, gb.d + 1):
         if n == 0:  # Aminus[j][0] is empty: no level below the vacuum
-            gb.aplus[j], gb.azero[j], gb.aminus[j] = [], [], [[]]
+            ops.aplus[j], ops.azero[j], ops.aminus[j] = [], [], [[]]
         try:
             if n:  # <p_n, x_j p_{n-1}> = G_n S_{j,n-1}: the columns m + e_j of G_n
                 shift = shift_index(gb.d, n - 1, j)
                 up = [[row[s] for s in shift] for row in g]
-                gb.aplus[j].append(cap._solve(g, up, backend, tol))
-                gb.aminus[j].append(cap.annihilator(grams, gb.d, j, n, backend, tol))
-            if n <= gb.alpha_levels:  # <p_n, x_j p_n> = R_n (x_j P_n)^T
+                ops.aplus[j].append(cap._solve(g, up, backend, tol))
+                ops.aminus[j].append(cap.annihilator(ops.grams, gb.d, j, n, backend, tol))
+            if n <= ops.alpha_levels:  # <p_n, x_j p_n> = R_n (x_j P_n)^T
                 xp = gb.times_x(j, n)
                 mods = [r[: len(xp[0])] for r in gb.levels[n].mods]
                 pairing = linalg.mat_mul(mods, linalg.transpose(xp))
-                gb.azero[j].append(cap._solve(g, pairing, backend, tol))
+                ops.azero[j].append(cap._solve(g, pairing, backend, tol))
         except (InconsistentSystemError, AdjointInconsistencyError) as exc:
             if linalg.scalars(backend) is linalg.EXACT:
                 raise

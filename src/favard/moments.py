@@ -308,12 +308,13 @@ def from_samples(points, max_degree, weights=None, backend=None):
         _check_weights(w, "sample")
         w = w / w.sum()
         values = {}
-        for m in enumerate_upto(d, max_degree):
-            prod = np.ones(len(arr))
-            for col, k in enumerate(m):
-                if k:
-                    prod = prod * arr[:, col] ** k
-            values[m] = float(prod @ w)
+        with np.errstate(over="ignore", invalid="ignore"):  # MomentFunctional names the moment
+            for m in enumerate_upto(d, max_degree):
+                prod = np.ones(len(arr))
+                for col, k in enumerate(m):
+                    if k:
+                        prod = prod * arr[:, col] ** k
+                values[m] = float(prod @ w)
     return MomentFunctional(
         d=d,
         max_degree=max_degree,

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -9,7 +10,7 @@ from favard.cap import (
     verify_commutators,
     verify_jacobi_relation,
 )
-from favard.gradation import build_gradation, kernel_basis
+from favard.gradation import GradedBasis, build_gradation, kernel_basis
 from favard.linalg import mat_vec, rank
 from favard.mindex import level_dimension
 from favard.moments import from_catalog
@@ -173,3 +174,11 @@ def test_alpha_levels_budget_logic():
     phi = from_catalog("gaussian_product", 1, 6)
     gb = build_gradation(phi, 3)
     assert extract_cap(gb).alpha_levels == 2
+
+
+def test_blocks_exist_once():
+    phi, gb, cap = _pipeline("gaussian_product", 2, 3)
+    assert extract_cap(gb).aplus is extract_cap(gb).aplus
+    assert extract_cap(gb) is cap
+    declared = {f.name for f in fields(GradedBasis)}
+    assert not declared & {"aplus", "azero", "aminus", "alpha_levels"}

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,40 @@ def test_bad_tol_and_level_are_exit_two(tmp_path, capsys):
                        "--N", "-1")
     assert code == 2 and "N must be >= 0" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+def test_non_finite_tol_is_exit_two(capsys, backend, tol):
+    code, out, err = run(capsys, "verify", "--measure", "gaussian_product", "--d", "1",
+                         "--N", "2", "--backend", backend, "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must be positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--measure", "atoms", "--d", "1", "--atoms", "[[1, 2]]"),
+    ("--measure", "atoms", "--d", "1", "--atoms", '[[[1], "1/0"]]'),
+    ("--samples", "{zero}"),
+], ids=["atom-not-a-pair", "weight-over-zero", "sample-over-zero"])
+def test_malformed_atom_scalars_are_exit_two(tmp_path, capsys, argv):
+    zero = tmp_path / "zero.samples.json"
+    zero.write_text(json.dumps({"points": [["1/0"]]}))
+    argv = [a.format(zero=zero) for a in argv]
+    code, out, err = run(capsys, "verify", "--N", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_sample_overflow_prints_only_the_error_line(tmp_path, capsys):
+    s = tmp_path / "big.samples.json"
+    s.write_text(json.dumps({"points": [[1e200], [0.0], [1.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--backend", "float", "--samples", str(s),
+                             "--N", "2")
+    assert code == 2 and out == ""
+    assert err == "error: moment for multi-index (2,) is not finite: inf\n"
 
 
 def test_atoms_flag(tmp_path, capsys):
