@@ -38,8 +38,8 @@ gb = build_gradation(phi, 4)
 ranks = [gb.level(n).rank for n in range(5)]
 print(f"  level ranks: {ranks}  termination at level {termination_level(gb)}")
 js = extract_jacobi(gb, extract_cap(gb))
-fock, ops = build_fock(js)
-words = [str(moment_of_word(fock, ops, (1,) * k)) for k in range(8)]
+ops = build_fock(js)
+words = [str(moment_of_word(ops, (1,) * k)) for k in range(8)]
 print(f"  reconstructed m_0..m_7: {' '.join(words)}  (even powers 1, odd 0)")
 
 print("\nThree atoms at -1, 0, 2 with weights 1/4, 1/2, 1/4:")
@@ -71,8 +71,8 @@ for n in (2, 3):
 js = extract_jacobi(gb, extract_cap(gb))
 rep = verify_favard_conditions(js)
 print(f"  sequence conditions: {rep.summary().splitlines()[0]}")
-fock, ops = build_fock(js)
+ops = build_fock(js)
 pairs = [((1, 1), (2, 0)), ((1, 1, 2, 2), (2, 2)), ((2,) * 8, (0, 8))]
 for word, m in pairs:
-    print(f"  word {word}: {moment_of_word(fock, ops, word)} "
+    print(f"  word {word}: {moment_of_word(ops, word)} "
           f"== moment {m}: {phi.moment(m)}")

@@ -56,11 +56,11 @@ for rep in (verify_jacobi_relation(cap, gb), verify_adjointness(cap, gb),
           f"({len(rep.checks)} identities, worst deviation {worst})")
 
 # reconstruction: words in the two coordinate directions against known moments
-fock, ops = build_fock(js)
+ops = build_fock(js)
 print("\nreconstructed moments (word -> value, expected):")
 for word, m in [((1, 1), (2, 0)), ((1, 1, 2, 2), (2, 2)),
                 ((1,) * 4, (4, 0)), ((1, 2), (1, 1)), ((2,) * 6, (0, 6))]:
-    got = moment_of_word(fock, ops, word)
+    got = moment_of_word(ops, word)
     expect = phi.moment(m)
     print(f"  {word} -> {got}  (moment {m} = {expect}, match: {got == expect})")
 

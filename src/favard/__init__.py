@@ -26,9 +26,7 @@ from .errors import (
     PositivityError,
     WordLengthError,
 )
-from .fock import (
-    FieldOperators, FockSpace, build_fock, moment_of_word, roundtrip_report, vacuum_moments,
-)
+from .fock import build_fock, moment_of_word, roundtrip_report, vacuum_moments
 from .gradation import (
     GradedBasis,
     GradedLevel,
@@ -82,9 +80,7 @@ __all__ = [
     "Check",
     "FavardConditionError",
     "FavardError",
-    "FieldOperators",
     "FileFormatError",
-    "FockSpace",
     "GradedBasis",
     "GradedLevel",
     "InconsistentSystemError",

@@ -55,6 +55,8 @@ __all__ = [
 
 @dataclass
 class CapOperators:
+    """Grams and blocks of both directions; on the Fock side aplus is empty (the index shift)."""
+
     d: int
     N: int
     backend: str

@@ -175,9 +175,9 @@ def cmd_reconstruct(args) -> int:
     js = load_jacobi_file(args.jacobi)
     if args.out is None:
         raise ValueError("reconstruct needs --out for the moment file")
-    fock, ops = build_fock(js, args.tol)
+    ops = build_fock(js, args.tol)
     top = js.max_word_length()
-    values = vacuum_moments(fock, ops, top)
+    values = vacuum_moments(ops, top)
     try:
         phi = MomentFunctional(
             d=js.d,

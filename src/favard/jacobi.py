@@ -16,7 +16,8 @@ the second because Azero[j][n] vanishes on ker G_n.  The pair
 between the two directions: together with the index-shift creators
 (mindex.shift_index, a scatter on the tensor levels) and their
 Gomega-weighted adjoints (cap.annihilator) it rebuilds every moment
-(module fock).
+(module fock).  That Fock side is a CapOperators too: the round trip of
+analyze walks the sweep's own, whose blocks are exactly those of js.
 
 The operator form Omega_n = T_n^{-1} Gomega_n (T_n the diagonal tensor
 metric m!/n!) is derived on demand; the serialized object is always the
@@ -327,7 +328,7 @@ class MeasureAnalysis:
 def analyze(phi, N, tol=linalg.DEFAULT_TOL, with_roundtrip=True) -> MeasureAnalysis:
     """Run the full pipeline on phi and verify every identity on the way."""
     from .cap import extract_cap, verify_adjointness, verify_commutators, verify_jacobi_relation
-    from .fock import _assemble_fock, _moment_report
+    from .fock import _moment_report
     from .gradation import build_gradation, termination_level
 
     gb = build_gradation(phi, N, tol)
@@ -345,9 +346,9 @@ def analyze(phi, N, tol=linalg.DEFAULT_TOL, with_roundtrip=True) -> MeasureAnaly
         dev = linalg.mat_max_diff(linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), g), u), g)
         reports["favard_conditions"].check(f"U-unitarity level {n}", dev, js.backend, tol)
     if with_roundtrip:
-        # the report above already holds the admissibility verdict, so the
-        # round trip builds without the build_fock gate
-        reports["roundtrip"] = _moment_report(phi, js, *_assemble_fock(js, tol))
+        # the report above already holds the admissibility verdict, and the
+        # sweep's blocks are the Fock side of js: nothing is solved again
+        reports["roundtrip"] = _moment_report(phi, cap)
     return MeasureAnalysis(
         source=phi.source,
         backend=phi.backend,

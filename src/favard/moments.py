@@ -23,7 +23,7 @@ circle_uniform       arc length on the unit circle (d=2 only),
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from operator import add
 
 from . import linalg
@@ -261,11 +261,19 @@ def from_catalog(name, d, max_degree, atoms=None, backend="exact"):
         total = sum(wts)
         values = _atomic_moments(pts, [w / total for w in wts], d, max_degree)
     cast = linalg.scalars(backend).cast
-    values = {m: cast(v) for m, v in values.items()}
+    values = {m: _cast_moment(cast, v) for m, v in values.items()}
     label = f"catalog:{name}(d={d})"
     return MomentFunctional(
         d=d, max_degree=max_degree, values=values, backend=backend, source=label
     )
+
+
+def _cast_moment(cast, v):
+    """cast(v); an exact moment past the float range is inf, as a float sum gives."""
+    try:
+        return cast(v)
+    except OverflowError:
+        return inf if v > 0 else -inf
 
 
 def from_samples(points, max_degree, weights=None, backend=None):

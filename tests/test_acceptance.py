@@ -187,8 +187,8 @@ def test_criterion_6_compatibility_is_adjointability(tmp_path):
 
     doc["levels"][2]["Gomega"] = [["0"]]
     path.write_text(json.dumps(doc))
-    fock, ops = build_fock(load_jacobi_file(str(path)))
-    assert moment_of_word(fock, ops, (1, 1)) == 0
+    ops = build_fock(load_jacobi_file(str(path)))
+    assert moment_of_word(ops, (1, 1)) == 0
     _pass(6, "incompatible file rejected with an adjoint diagnostic; repair passes")
 
 

@@ -324,6 +324,17 @@ def test_float_sample_overflow_prints_only_the_error_line(tmp_path, capsys):
     assert err == "error: moment for multi-index (2,) is not finite: inf\n"
 
 
+def test_float_atom_overflow_prints_only_the_error_line(capsys):
+    # the same points as the samples case above, as exact atoms cast to float
+    atoms = json.dumps([[["1e200"], 1], [[0], 1], [[1], 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--backend", "float", "--measure", "atoms",
+                             "--d", "1", "--N", "2", "--atoms", atoms)
+    assert code == 2 and out == ""
+    assert err == "error: moment for multi-index (2,) is not finite: inf\n"
+
+
 def test_atoms_flag(tmp_path, capsys):
     j = tmp_path / "a.jacobi.json"
     atoms = json.dumps([[["-1"], "1/4"], [["0"], "1/2"], [["2"], "1/4"]])

@@ -10,7 +10,7 @@ import favard.jacobi
 import favard.linalg
 from favard.cap import extract_cap
 from favard.errors import FileFormatError
-from favard.fock import build_fock
+from favard.fock import build_fock, roundtrip_report
 from favard.gradation import build_gradation
 from favard.jacobi import (
     JacobiSequence,
@@ -152,6 +152,30 @@ def test_each_cap_block_is_solved_once(monkeypatch, name, d, N, budget):
     assert len(calls) == d * (2 * N + cap.alpha_levels + 1)
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name,d,N", [("gaussian_product", 2, 4), ("circle_uniform", 2, 5)])
+@pytest.mark.parametrize("run", ["analyze", "roundtrip_report"])
+def test_the_round_trip_solves_nothing_new(monkeypatch, run, name, d, N, backend):
+    # the sweep's blocks are the Fock side of its sequence, so the round trip
+    # makes exactly the sweep's d (2N + alpha_levels + 1) solves, alpha_levels
+    # being N on the 2N+1 budget
+    calls = []
+    solve = favard.linalg.solve_min_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(favard.linalg, "solve_min_norm", counted)
+    phi = from_catalog(name, d, 2 * N + 1, backend=backend)
+    if run == "analyze":
+        report = analyze(phi, N, with_roundtrip=True).reports["roundtrip"]
+    else:
+        report = roundtrip_report(phi, N)
+    assert report.ok
+    assert len(calls) == d * (2 * N + N + 1)
+
+
 @pytest.mark.parametrize("budget", ["2N", "2N+1"])
 @pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES + [
     ("uniform_box", 3, 3, None),
@@ -194,7 +218,7 @@ def test_transport_through_U_returns_the_gradation_data(name, d, N, atoms):
 def test_forward_and_converse_annihilators_agree(name, d, N, atoms):
     # one adjoint solve serves both directions, so the blocks are equal exactly
     phi, gb, cap, js = _sequence(name, d, N, atoms=atoms)
-    assert cap.aminus == build_fock(js)[1].aminus
+    assert cap.aminus == build_fock(js).aminus
 
 
 @pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES)
