@@ -171,23 +171,23 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if ma.ok else EXIT_CHECK_FAILED
 
 
+def _vacuum_state(js, ops, source) -> MomentFunctional:
+    """The vacuum moments of ops as a state; FavardError when they form none."""
+    top = js.max_word_length()
+    values = vacuum_moments(ops, top)
+    try:
+        return MomentFunctional(d=js.d, max_degree=top, values=values, backend=js.backend,
+                                source=source)
+    except ValueError as exc:
+        raise FavardError(f"reconstructed moments do not form a state: {exc}") from exc
+
+
 def cmd_reconstruct(args) -> int:
     js = load_jacobi_file(args.jacobi)
     if args.out is None:
         raise ValueError("reconstruct needs --out for the moment file")
-    ops = build_fock(js, args.tol)
-    top = js.max_word_length()
-    values = vacuum_moments(ops, top)
-    try:
-        phi = MomentFunctional(
-            d=js.d,
-            max_degree=top,
-            values=values,
-            backend=js.backend,
-            source=f"reconstructed:{args.jacobi}",
-        )
-    except ValueError as exc:
-        raise FavardError(f"reconstructed moments do not form a state: {exc}") from exc
+    phi = _vacuum_state(js, build_fock(js, args.tol), f"reconstructed:{args.jacobi}")
+    top = phi.max_degree
     atomic_write_text(args.out, moment_file_text(phi))
     payload = {
         "source": args.jacobi,
@@ -205,20 +205,21 @@ def cmd_verify(args) -> int:
     if args.jacobi:
         js = load_jacobi_file(args.jacobi)
         report = verify_favard_conditions(js, args.tol)
-        adjoint_note = None
+        note = {}  # the reconstruct refusals the conditions report does not cover
         if report.ok:
             try:
-                _assemble_fock(js, args.tol)
+                _vacuum_state(js, _assemble_fock(js, args.tol), args.jacobi)
             except AdjointInconsistencyError as exc:
-                adjoint_note = str(exc)
+                note["adjoint_error"] = str(exc)
+            except FavardError as exc:
+                note["moment_error"] = str(exc)
         payload = report.to_dict()
-        if adjoint_note:
-            payload["ok"] = False
-            payload["adjoint_error"] = adjoint_note
+        if note:
+            payload.update(ok=False, **note)
         _emit(args, payload, [report.summary()])
         if not payload["ok"]:
             bad = report.first_failure()
-            name = bad.label if bad else adjoint_note
+            name = bad.label if bad else next(iter(note.values()))
             print(f"verification failed: {name}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         return EXIT_OK

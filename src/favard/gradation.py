@@ -10,9 +10,10 @@ first nonzero coordinate of m and x_j p_{n-1} orthogonal below degree n-2:
     p_{n,m} = x_j p_{n-1,m-e_j} - Azero[j][n-1]^T P_{n-1} - Aminus[j][n-1]^T P_{n-2}.
 
 Each level keeps its modified moments R_n = P_n H (H = [phi(x^a x^b)] the
-moment matrix) and pairs with a coefficient row q as R_n q^T: R_n vanishes
-below degree n, its level-n columns are the Gram G_n (the block D_n of the
-block LDL^T of H, whose L^{-1} has the rows P_0..P_N), and x_j P_n pairs as
+moment matrix; the sweep reads leading blocks of the one phi.held_matrix(N))
+and pairs with a coefficient row q as R_n q^T: R_n vanishes below degree n,
+its level-n columns are the Gram G_n (the block D_n of the block LDL^T of
+H, whose L^{-1} has the rows P_0..P_N), and x_j P_n pairs as
 R_n (x_j P_n)^T.  build_gradation is one sweep: level n from the two
 below, G_n off R_n, then the CAP blocks G_n completes, appended to the one
 cap.CapOperators the basis holds (module cap).  They are minimum-norm
@@ -116,14 +117,13 @@ def build_gradation(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL) -> Gr
     gb = GradedBasis(phi, N, tol, positivity=pos, cap=ops)
     sc = linalg.scalars(phi.backend)
     cast, dead = sc.cast, sc.cast(tol) * max(1, linalg.mat_max_abs([phi.values.values()]))
-    monos = enumerate_upto(phi.d, phi.max_degree)
     for n in range(N + 1):
         idxs = enumerate_level(phi.d, n)
         low = len(enumerate_upto(phi.d, n - 1))  # level-n monomials are the last columns
         width = low + len(idxs)
         rows = _recurrence_rows(gb, idxs) if n else [[1]]
         cols = len(enumerate_upto(phi.d, min(max(N, n + 1), phi.max_degree - n)))
-        mods = linalg.mat_mul(rows, moment_matrix(phi, monos[:width], monos[:cols]))
+        mods = linalg.mat_mul(rows, [r[:cols] for r in phi.held_matrix(N)[:width]])
         # G_n = R_n P_n^T is R_n on the level-n columns (P_n monic, R_n zero below);
         # (G + G^T)/2 is a no-op on exact data and makes float Grams exactly symmetric
         g = [r[low:width] for r in mods]

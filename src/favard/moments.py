@@ -5,7 +5,9 @@ per exponent multi-index of total degree <= D, normalized so the empty
 index has value 1.  It is the linear-functional view of a probability
 measure on R^d seen through its moments; positivity of the measure shows
 up as positive semidefiniteness of the monomial Gram matrices, which
-:func:`check_state_positivity` tests level by level.
+:func:`check_state_positivity` tests level by level.  It, the gradation
+sweep and the relation check read leading blocks of the one moment matrix
+H = [phi(x^a x^b)] that MomentFunctional.held_matrix builds per level.
 
 Built-in catalog (all moments exact rationals):
 
@@ -21,7 +23,7 @@ circle_uniform       arc length on the unit circle (d=2 only),
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, inf
 from operator import add
@@ -63,7 +65,8 @@ class MomentFunctional:
 
     values maps every multi-index of total degree <= max_degree to its
     moment; the scalar family is fixed by backend ("exact" -> Fraction,
-    "float" -> float, every moment finite).
+    "float" -> float, every moment finite).  values is fixed after
+    construction: held_matrix keeps the moment matrix built from it.
     """
 
     d: int
@@ -71,6 +74,7 @@ class MomentFunctional:
     values: dict
     backend: str = "exact"
     source: str = ""
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -97,6 +101,13 @@ class MomentFunctional:
                 f"moment of degree {sum(m)} requested, only {self.max_degree} available"
             )
         return self.values[m]
+
+    def held_matrix(self, N):
+        """H over degrees <= N by degrees <= min(N+1, max_degree-N), built once per N."""
+        if N not in self._held:
+            cols = enumerate_upto(self.d, min(N + 1, self.max_degree - N))
+            self._held[N] = moment_matrix(self, enumerate_upto(self.d, N), cols)
+        return self._held[N]
 
 
 def apply(phi: MomentFunctional, p: Polynomial):
@@ -142,9 +153,10 @@ def check_state_positivity(phi: MomentFunctional, N: int, tol=linalg.DEFAULT_TOL
         )
     report = Report(name=f"state positivity to degree {N}")
     exact = linalg.scalars(phi.backend) is linalg.EXACT  # exact floor: the failing pivot
+    held = phi.held_matrix(N)
     for k in range(N + 1):
-        idxs = enumerate_upto(phi.d, k)
-        h = moment_matrix(phi, idxs, idxs)
+        size = len(enumerate_upto(phi.d, k))
+        h = [r[:size] for r in held[:size]]
         ok, floor = linalg.psd_floor(h, phi.backend, tol)
         report.add(
             f"monomial gram PSD at degree <= {k}",

@@ -403,6 +403,48 @@ def test_verify_jacobi_reports_a_missing_adjoint(tmp_path, capsys, monkeypatch):
     assert "verification failed: creation operator" in err
 
 
+def _edited_jacobi_file(tmp_path, capsys, argv, edit):
+    j = tmp_path / "edited.jacobi.json"
+    assert run(capsys, "decompose", *argv, "--out", str(j))[0] == 0
+    doc = json.loads(j.read_text())
+    edit(doc["levels"])
+    j.write_text(json.dumps(doc))
+    return j
+
+
+def _assert_verify_refuses_as_reconstruct_does(tmp_path, capsys, j, needle):
+    m = tmp_path / "never.moments.json"
+    code, out, err = run(capsys, "reconstruct", "--jacobi", str(j), "--out", str(m))
+    assert code == 2 and needle in err and not m.exists()
+    code, out, err = run(capsys, "verify", "--jacobi", str(j))
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False and "adjoint_error" not in payload
+    assert all(c["ok"] for c in payload["checks"])
+    assert payload["moment_error"].startswith("reconstructed moments do not form a state")
+    assert needle in payload["moment_error"]
+    assert f"verification failed: {payload['moment_error']}" in err
+
+
+def test_verify_jacobi_refuses_overflowing_vacuum_moments(tmp_path, capsys):
+    argv = ("--backend", "float", "--measure", "circle_uniform", "--d", "2", "--N", "2")
+
+    def edit(levels):
+        levels[1]["alpha"]["1"] = [[1e300, 0], [0, 0]]
+
+    j = _edited_jacobi_file(tmp_path, capsys, argv, edit)
+    _assert_verify_refuses_as_reconstruct_does(tmp_path, capsys, j, "(4, 0) is not finite: inf")
+
+
+def test_verify_jacobi_refuses_an_unnormalized_vacuum(tmp_path, capsys):
+    argv = ("--measure", "gaussian_product", "--d", "1", "--N", "2")
+
+    def edit(levels):
+        levels[0]["Gomega"] = [["2"]]
+
+    j = _edited_jacobi_file(tmp_path, capsys, argv, edit)
+    _assert_verify_refuses_as_reconstruct_does(tmp_path, capsys, j, "state must be normalized")
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_float_sample_file_loads(tmp_path, capsys, backend):
     # the plain-number layout written by bench/frontier.py

@@ -176,6 +176,27 @@ def test_the_round_trip_solves_nothing_new(monkeypatch, run, name, d, N, backend
     assert len(calls) == d * (2 * N + N + 1)
 
 
+class _CountingDict(dict):
+    """A moment dict that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name,d,N", [("circle_uniform", 2, 11), ("gaussian_product", 4, 3)])
+def test_analyze_reads_each_moment_block_once(name, d, N):
+    # the held H (rows of degree <= N, columns of degree <= N+1) plus the
+    # round trip's one read of every moment to degree 2N+1
+    phi = from_catalog(name, d, 2 * N + 1, backend="float")
+    phi.values = _CountingDict(phi.values)
+    assert analyze(phi, N, with_roundtrip=True).ok
+    dim = lambda k: len(enumerate_upto(d, k))  # noqa: E731
+    assert phi.values.reads <= dim(N) * dim(N + 1) + dim(2 * N + 1)
+
+
 @pytest.mark.parametrize("budget", ["2N", "2N+1"])
 @pytest.mark.parametrize("name,d,N,atoms", _GRADATION_CASES + [
     ("uniform_box", 3, 3, None),

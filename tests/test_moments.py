@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from favard import linalg
+from favard.cap import verify_jacobi_relation
 from favard.errors import FileFormatError, MomentDegreeError
+from favard.gradation import build_gradation
+from favard.mindex import enumerate_upto
 from favard.moments import (
     CATALOG_MEASURES,
     apply,
@@ -17,6 +21,7 @@ from favard.moments import (
     from_file,
     from_samples,
     moment_file_text,
+    moment_matrix,
     save_moment_file,
 )
 from favard.poly import monomial, one
@@ -253,3 +258,32 @@ def test_float_functional_refuses_non_finite_moments():
     values = {(0,): 1.0, (1,): float("inf"), (2,): 1.0}
     with pytest.raises(ValueError, match=r"multi-index \(1,\) is not finite: inf"):
         MomentFunctional(d=1, max_degree=2, values=values, backend="float")
+
+
+@given(st.integers(1, 3), st.integers(0, 4), st.sampled_from([0, 1, 5]),
+       st.sampled_from(["exact", "float"]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_stage_reads_a_leading_block_of_the_held_moment_matrix(d, N, extra, backend, data):
+    names = [n for n in CATALOG_MEASURES if n != "atoms" and (n != "circle_uniform" or d == 2)]
+    phi = from_catalog(data.draw(st.sampled_from(names)), d, 2 * N + extra, backend=backend)
+    gb = build_gradation(phi, N)
+    verify_jacobi_relation(gb.cap, gb)
+    assert list(phi._held) == [N]  # built once, for the level asked
+    held = phi.held_matrix(N)
+    upto = lambda k: enumerate_upto(d, k)  # noqa: E731
+    assert len(held) == len(upto(N))  # no row past degree N, whatever the budget
+    assert {len(r) for r in held} == {len(upto(min(N + 1, phi.max_degree - N)))}
+
+    def lead(k, c):
+        return [r[: len(upto(c))] for r in held[: len(upto(k))]]
+
+    for k, check in enumerate(gb.positivity.checks):  # and the relation check's, k >= 1
+        h = moment_matrix(phi, upto(k), upto(k))
+        assert lead(k, k) == h
+        ok, floor = linalg.psd_floor(h, backend)
+        assert check.ok == ok and check.deviation == (floor if backend == "float" else None)
+    for lvl in gb.levels:  # the sweep's rectangle for level n
+        c = min(max(N, lvl.n + 1), phi.max_degree - lvl.n)
+        h = moment_matrix(phi, upto(lvl.n), upto(c))
+        assert lead(lvl.n, c) == h
+        assert lvl.mods == linalg.mat_mul(lvl.coeffs, h)
